@@ -22,13 +22,13 @@ import pathlib
 
 import pytest
 
+from repro.api import run_averaged
 from repro.core.configs import (
     DESIGN_NAMES,
     INPUT_SIZES,
     ExperimentConfig,
     valid_proc_counts,
 )
-from repro.core.harness import run_experiment_averaged
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -70,8 +70,7 @@ class ResultCache:
                config.inject_fault)
         if key not in self._cache:
             reps = fault_reps() if config.inject_fault else 1
-            self._cache[key] = run_experiment_averaged(config,
-                                                       repetitions=reps)
+            self._cache[key] = run_averaged(config, repetitions=reps)
         return self._cache[key]
 
     # -- the paper's two experiment matrices -----------------------------

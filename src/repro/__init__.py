@@ -33,17 +33,14 @@ One-off runs stay one-liners::
 
 Extension points (apps, recovery designs, fault-scenario kinds, result
 stores, report renderers) are registries — see :mod:`repro.registry`
-and docs/API.md for the recipe. The legacy entry points
-(``run_experiment``, ``run_experiment_averaged``,
-``run_campaign_matrix``) remain as deprecation shims over the facade
-with bit-identical results.
+and docs/API.md for the recipe.
 
 Top-level convenience names are loaded lazily (PEP 562) so that low-level
 subpackages (``repro.simmpi``, ``repro.fti``, ...) can be imported without
 pulling in the whole application stack.
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"
 
 _LAZY = {
     "Campaign": ("repro.api", "Campaign"),
@@ -57,9 +54,6 @@ _LAZY = {
     # attribute once imported, so the alias would unpredictably resolve
     # to the module. Use `from repro.registry import registry`.
     "register": ("repro.registry", "register"),
-    "run_experiment": ("repro.core.harness", "run_experiment"),
-    "run_experiment_averaged": ("repro.core.harness",
-                                "run_experiment_averaged"),
 }
 
 __all__ = sorted(_LAZY) + ["__version__"]

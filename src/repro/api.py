@@ -29,14 +29,9 @@ Quickstart::
     for label, summary in session.campaigns().items():
         print(summary.report())
 
-Everything the legacy entry points did routes through here:
-:func:`repro.core.harness.run_experiment`,
-:func:`~repro.core.harness.run_experiment_averaged` and
-:func:`repro.core.campaign.run_campaign_matrix` are deprecation shims
-over this facade with bit-identical results, and the CLI commands are
-thin adapters. Extension points (new apps, designs, scenario kinds,
-store backends, report renderers) are registries — see
-:mod:`repro.registry` and docs/API.md.
+The CLI commands are thin adapters over this facade. Extension points
+(new apps, designs, scenario kinds, store backends, report renderers)
+are registries — see :mod:`repro.registry` and docs/API.md.
 """
 
 from __future__ import annotations
@@ -545,9 +540,9 @@ class Session:
                 if u.key in results]
 
     def averaged(self, config: ExperimentConfig):
-        """The paper's five-run average for one cell, as the legacy
-        :class:`~repro.core.harness.AveragedResult` (bit-identical:
-        same runs, same averaging order)."""
+        """The paper's five-run average for one cell, as an
+        :class:`~repro.core.harness.AveragedResult` (runs averaged in
+        repetition order)."""
         from .core.harness import AveragedResult
 
         runs = self.run_results(config)
@@ -658,10 +653,8 @@ class Session:
                               progress=progress)
 
     def campaigns(self) -> dict:
-        """``{label: CampaignResult}`` in matrix order, exactly as the
-        legacy :func:`~repro.core.campaign.run_campaign_matrix`
-        summarised: runs in repetition order, configs with zero runs in
-        this shard omitted. Labels must be unambiguous — two configs
+        """``{label: CampaignResult}`` in matrix order: runs in
+        repetition order, configs with zero runs in this shard omitted. Labels must be unambiguous — two configs
         ``label()`` cannot distinguish (differing only in seed, nnodes
         or fti) raise rather than silently overwrite each other's row.
         """
@@ -686,9 +679,8 @@ class Session:
 
 # -- campaign-mode validation ------------------------------------------------
 def check_campaign(configs, runs: int) -> None:
-    """The distribution-campaign prerequisites shared by the legacy
-    :func:`~repro.core.campaign.run_campaign_matrix` and the CLI
-    ``campaign`` adapter: at least two runs per cell, fault-injecting
+    """The distribution-campaign prerequisites (the CLI ``campaign``
+    adapter's gate): at least two runs per cell, fault-injecting
     configs only, and unambiguous labels."""
     configs = list(configs)
     if not configs:
@@ -712,15 +704,17 @@ def check_campaign(configs, runs: int) -> None:
 
 # -- one-config conveniences -------------------------------------------------
 def run_single(config: ExperimentConfig):
-    """One repetition (rep 0) of one configuration — the facade's form
-    of the legacy ``run_experiment``."""
+    """One repetition of one configuration. A single run is repetition
+    0 by definition; the config's ``seed`` enters only through the
+    fault-seed derivation, not as a repetition index."""
     session = Campaign.from_configs([config]).reps(1).session()
     return session.run().run_results(config)[0]
 
 
 def run_averaged(config: ExperimentConfig, repetitions=None):
-    """The paper's averaged repetitions for one configuration — the
-    facade's form of the legacy ``run_experiment_averaged``."""
+    """The paper's averaged repetitions for one configuration (five by
+    default; a deterministic no-fault configuration collapses to one
+    run, since every repetition would be bit-identical)."""
     session = Campaign.from_configs([config]).reps(repetitions).session()
     return session.run().averaged(config)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-import warnings
 
 from .core.configs import (
     DESIGN_NAMES,
@@ -72,40 +71,13 @@ def _parse_interval(value):
             % (value,))
 
 
-def _run_config(args):
-    """The single config the ``run`` command describes.
-
-    ``--fault`` is the deprecated alias for ``--faults single`` — it is
-    routed through the scenario spec so the CLI has exactly one
-    fault-spec path, and contradictions (``--fault --faults none``)
-    still fail loudly.
-    """
-    faults = args.faults
-    if args.fault:
-        # stderr print for real CLI users (default warning filters
-        # suppress DeprecationWarning outside __main__); warnings.warn
-        # for programmatic callers and tests
-        print("warning: --fault is deprecated; use --faults single",
-              file=sys.stderr)
-        warnings.warn(
-            "--fault is deprecated; use --faults single",
-            DeprecationWarning, stacklevel=2)
-        if faults is None:
-            faults = "single"
-    campaign = (_base_campaign(args).apps(args.app).designs(args.design)
-                .nprocs(args.nprocs).inputs(args.input).faults(faults))
-    config = campaign.configs()[0]
-    if args.fault and not config.inject_fault:
-        raise ConfigurationError(
-            "--fault contradicts the non-injecting --faults %r scenario; "
-            "drop one of the two" % (args.faults,))
-    return config
-
-
 def _cmd_run(args) -> int:
     from .api import run_averaged
 
-    config = _run_config(args)
+    campaign = (_base_campaign(args).apps(args.app).designs(args.design)
+                .nprocs(args.nprocs).inputs(args.input)
+                .faults(args.faults))
+    config = campaign.configs()[0]
     result = run_averaged(config, args.reps)
     print(config.label())
     print("  " + str(result.breakdown))
@@ -572,8 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--design", required=True, choices=DESIGN_NAMES)
     run_p.add_argument("--nprocs", type=int, default=64)
     run_p.add_argument("--input", default="small", choices=INPUT_SIZES)
-    run_p.add_argument("--fault", action="store_true",
-                       help="deprecated: routed through --faults single")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--reps", type=int, default=None)
     add_fault_args(run_p)

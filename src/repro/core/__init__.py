@@ -12,11 +12,7 @@ from .configs import (
     valid_proc_counts,
 )
 from .designs import DESIGNS, ReinitFti, RestartFti, UlfmFti
-from .harness import (
-    AveragedResult,
-    run_experiment,
-    run_experiment_averaged,
-)
+from .harness import AveragedResult
 
 __all__ = [
     "AveragedResult",
@@ -33,8 +29,6 @@ __all__ = [
     "UlfmFti",
     "average_breakdowns",
     "input_matrix",
-    "run_experiment",
-    "run_experiment_averaged",
     "scaling_matrix",
     "valid_proc_counts",
 ]

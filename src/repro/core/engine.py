@@ -11,11 +11,17 @@ while keeping four guarantees:
   deterministic, so a run's result is a pure function of its
   :class:`RunUnit`. Parallel, serial, sharded, resumed and *retried*
   sweeps are bit-identical.
-* **Isolation** — every run executes in its own freshly-``spawn``-ed
-  worker process, so no module-level state (caches, RNG, accelerator
-  handles) leaks between runs or differs from a standalone serial run —
-  and a crashing, hanging or OOM-killed run cannot take the campaign
-  down with it.
+* **One loop, two workers** — :meth:`CampaignEngine._execute` is the
+  only driver: it owns the queue, the retry heap and the in-flight list
+  and settles every finished attempt in one place. What differs is the
+  worker an attempt is launched on. With ``jobs == 1`` (or at most one
+  pending unit) *and* no ``timeout``, the **in-process worker** runs the
+  unit right in this interpreter — no spawn, but also no deadline to
+  enforce and no crash containment. Any other input picks the **spawn
+  worker**: every attempt gets its own freshly-``spawn``-ed process, so
+  no module-level state (caches, RNG, accelerator handles) leaks
+  between runs, and a crashing, hanging or OOM-killed run cannot take
+  the campaign down with it.
 * **Resumability** — with a :class:`~repro.core.store.ResultStore`
   attached, every completed run is flushed to disk immediately and a
   restarted sweep skips all content-keyed runs already present.
@@ -108,7 +114,7 @@ _UNITS_TOTAL = OBS_REGISTRY.counter(
     "Campaign units by outcome (completed/failed/skipped/retried)")
 _QUEUE_DEPTH = OBS_REGISTRY.gauge(
     "match_campaign_queue_depth",
-    "Units waiting for a worker slot (parallel dispatch only)")
+    "Units queued or in retry backoff, waiting for a worker slot")
 
 
 def parse_on_error(policy):
@@ -210,10 +216,10 @@ def shard_units(units, k: int, n: int):
 def execute_unit(unit: RunUnit) -> RunResult:
     """Run one unit exactly as the serial harness would.
 
-    This is the single execution path: the serial loop, the pool
-    workers, and ``run_experiment``-style one-offs all come through
-    here, which is what makes the parallel/serial equivalence a
-    structural property instead of a test-only promise.
+    This is the single execution path: both workers of the dispatch
+    loop and ``api.run_single``-style one-offs all come through here,
+    which is what makes the parallel/serial equivalence a structural
+    property instead of a test-only promise.
     """
     from .designs import DESIGNS
     from .harness import build_cluster, make_fault_plan
@@ -323,7 +329,9 @@ def _split_envelope(data):
 
 
 def _absorb_obs(obs):
-    """Fold a worker attempt's telemetry deltas into this process.
+    """Fold an attempt's telemetry into this process: a spawn worker's
+    metric deltas merge into the registry (the in-process worker wrote
+    to it directly and ships none).
 
     Returns the attempt's phase-span rows (for the UnitCompleted event).
     """
@@ -344,16 +352,21 @@ def _load_chaos():
 
 @dataclass
 class _InFlight:
-    """One dispatched unit attempt and the process running it."""
+    """One launched unit attempt. ``process``/``conn`` are None for the
+    in-process worker, whose ``outcome`` is already set at launch;
+    ``outcome`` is ``("ok", result, result_dict, phases)`` or
+    ``("error", record, live_exception_or_None)``."""
 
     unit: RunUnit
     attempt: int
-    process: object
-    conn: object
+    process: object = None
+    conn: object = None
     deadline: float | None = None
     outcome: tuple = field(default=None)
 
     def kill(self) -> None:
+        if self.process is None:
+            return
         try:
             if self.process.is_alive():
                 self.process.terminate()
@@ -499,13 +512,14 @@ class CampaignEngine:
     def _signal_guard(self, raise_immediately: bool):
         """Turn SIGINT/SIGTERM into a graceful shutdown request.
 
-        Serial mode raises KeyboardInterrupt straight from the handler
-        (the signal must preempt the in-process simulation); the
-        parallel dispatch loop instead polls the recorded reason every
-        tick — its workers are separate processes, and raising into an
-        arbitrary frame (possibly the *consumer's*, mid-yield) would
-        bypass the drain. Installed only around execution, and only in
-        the main thread — elsewhere default handling applies.
+        With the in-process worker the handler raises KeyboardInterrupt
+        itself (the signal must preempt the simulation running in this
+        interpreter); with spawn workers the loop instead polls the
+        recorded reason every tick — the work is in other processes, and
+        raising into an arbitrary frame (possibly the *consumer's*,
+        mid-yield) would bypass the drain. Installed only around
+        execution, and only in the main thread — elsewhere default
+        handling applies.
         """
         self._interrupt_reason = None
         self._interrupt_count = 0
@@ -585,20 +599,14 @@ class CampaignEngine:
                 _UNITS_TOTAL.inc(outcome="skipped")
                 yield UnitSkipped(unit=unit, result=done[unit.key],
                                   completed=completed, total=total)
-        serial = ((self.jobs == 1 or len(pending) <= 1)
-                  and self.timeout is None)
-        with self._signal_guard(raise_immediately=serial):
-            if serial:
-                driver = self._stream_serial(pending, results,
-                                             completed, total)
-            else:
-                driver = self._stream_dispatch(pending, results,
-                                               completed, total)
-            for event in driver:
-                if isinstance(event, (UnitCompleted, UnitSkipped)):
-                    completed = event.completed
-                # one counting site for both drivers (and the shutdown
-                # drain): every unit event flows through this loop
+        # the worker is picked from what the engine can already see: one
+        # slot and no deadline to enforce means nothing needs a child
+        in_process = ((self.jobs == 1 or len(pending) <= 1)
+                      and self.timeout is None)
+        with self._signal_guard(raise_immediately=in_process):
+            for event in self._execute(pending, results, completed, total,
+                                       in_process):
+                # one counting site: every unit event flows through here
                 if isinstance(event, UnitCompleted):
                     _UNITS_TOTAL.inc(outcome="completed")
                 elif isinstance(event, UnitFailed):
@@ -610,52 +618,7 @@ class CampaignEngine:
                                skipped=self.skipped, failed=self.failed,
                                failures=dict(self.failures))
 
-    # -- serial in-process execution ----------------------------------------
-    def _stream_serial(self, pending, results, completed, total):
-        for unit in pending:
-            yield UnitStarted(unit=unit, completed=completed, total=total)
-            attempt = 1
-            while True:
-                try:
-                    with self._watchdog_env():
-                        result, obs = _observed_execute(
-                            unit, self.trace_phases, self.profile_dir,
-                            attempt)
-                except KeyboardInterrupt:
-                    # graceful shutdown: everything completed so far is
-                    # already flushed (the store fsyncs per record), so
-                    # --resume picks up exactly past it
-                    yield CampaignAborted(
-                        completed=completed, total=total,
-                        reason=self._interrupt_reason or "interrupted")
-                    raise
-                except Exception as exc:
-                    record = describe_error(exc)
-                    delay = self._retry_delay(record, attempt)
-                    if delay is not None:
-                        self.retried += 1
-                        yield UnitRetrying(unit=unit, error=record,
-                                           attempt=attempt, delay=delay,
-                                           completed=completed, total=total)
-                        time.sleep(delay)
-                        attempt += 1
-                        continue
-                    yield UnitFailed(unit=unit, error=record.summary(),
-                                     record=record, attempt=attempt,
-                                     completed=completed, total=total)
-                    if self.on_error == "abort":
-                        raise
-                    self._record_failure(unit, record)
-                    break
-                self._record(unit, run_result_to_dict(result))
-                results[unit.key] = result
-                completed += 1
-                yield UnitCompleted(unit=unit, result=result,
-                                    completed=completed, total=total,
-                                    phases=tuple(obs.get("phases", ())))
-                break
-
-    # -- parallel dispatch loop ---------------------------------------------
+    # -- the dispatch loop ---------------------------------------------------
     def _payload(self, unit: RunUnit, attempt: int = 1) -> dict:
         payload = {"key": unit.key, "rep": unit.rep,
                    "config": config_to_dict(unit.config),
@@ -670,6 +633,23 @@ class CampaignEngine:
         return payload
 
     def _launch(self, ctx, unit: RunUnit, attempt: int) -> _InFlight:
+        """Start one attempt on a worker.
+
+        ``ctx is None`` is the in-process worker: the unit runs right
+        here and the flight comes back already settled. Otherwise a
+        fresh ``spawn`` process per attempt (the isolation contract),
+        whose pipe doubles as result channel and death detector.
+        """
+        if ctx is None:
+            try:
+                with self._watchdog_env():
+                    result, obs = _observed_execute(
+                        unit, self.trace_phases, self.profile_dir, attempt)
+                outcome = ("ok", result, run_result_to_dict(result),
+                           _absorb_obs(obs))
+            except Exception as exc:
+                outcome = ("error", describe_error(exc), exc)
+            return _InFlight(unit=unit, attempt=attempt, outcome=outcome)
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(target=_proc_worker,
                               args=(self._payload(unit, attempt), send_conn))
@@ -683,8 +663,8 @@ class CampaignEngine:
 
     @staticmethod
     def _collect(flight: _InFlight) -> tuple:
-        """``("ok", dict) | ("error", ErrorRecord)`` for a flight whose
-        pipe signalled (result sent, or EOF from a dead worker)."""
+        """The outcome of a flight whose pipe signalled: a result was
+        sent, or EOF from a dead worker."""
         try:
             status, data = flight.conn.recv()
         except (EOFError, OSError):
@@ -692,188 +672,149 @@ class CampaignEngine:
             code = flight.process.exitcode
             return ("error", describe_error(WorkerLostError(
                 "worker process died without a result (exit code %s) "
-                "while running %s" % (code, flight.unit.describe()))))
+                "while running %s" % (code, flight.unit.describe()))), None)
         finally:
             flight.conn.close()
         flight.process.join(5.0)
         if status == "error":
-            return ("error", ErrorRecord.from_dict(data))
-        return ("ok", data)
+            return ("error", ErrorRecord.from_dict(data), None)
+        result_dict, obs = _split_envelope(data)
+        phases = _absorb_obs(obs)
+        result = try_run_result_from_dict(result_dict)
+        if result is None:
+            return ("error", describe_error(CorruptResultError(
+                "worker returned an undecodable result payload for %s"
+                % flight.unit.describe())), None)
+        return ("ok", result, result_dict, phases)
 
     def _expire(self, flight: _InFlight) -> tuple:
         """Kill a flight past its deadline; a timeout error outcome."""
         flight.kill()
-        return ("error", describe_error(UnitTimeoutError(self.timeout)))
+        return ("error", describe_error(UnitTimeoutError(self.timeout)), None)
 
-    def _stream_dispatch(self, pending, results, completed, total):
-        """The async dispatch loop: at most ``jobs`` worker processes in
-        flight, each watched for results, death and blown deadlines.
+    def _execute(self, pending, results, completed, total, in_process):
+        """The one dispatch loop: at most ``jobs`` attempts in flight,
+        each watched for results, death and blown deadlines, every
+        outcome settled in one block below.
 
-        Replaces the historical blind ``Pool.imap_unordered`` — which
-        emitted every ``UnitStarted`` up front and blocked forever on a
-        hung or OOM-killed worker — with per-unit processes (the
-        ``maxtasksperchild=1`` isolation contract, kept) whose pipes
-        double as both the result channel and the death detector.
+        A shutdown signal does not leave the loop, it flips it into a
+        bounded drain: nothing more is launched or retried, what is in
+        flight gets ``min(timeout, DRAIN_GRACE)`` to land in the store,
+        and a second signal or the deadline kills the stragglers.
         """
-        ctx = multiprocessing.get_context("spawn")
-        nworkers = min(self.jobs, max(1, len(pending)))
-        queue = list((unit, 1) for unit in pending)
-        queue.reverse()  # pop() from the tail preserves unit order
+        ctx = None if in_process else multiprocessing.get_context("spawn")
+        slots = min(self.jobs, max(1, len(pending)))  # 1 when in_process
+        queue = [(unit, 1) for unit in reversed(pending)]  # pop() the tail
         retry_heap = []  # (ready_at, seq, unit, attempt)
         seq = itertools.count()
         in_flight = []
-        abort_record = None
+        abort = None  # (record, live exception or None)
         interrupted = False
+        drain_deadline = signals_seen = None
         try:
-            while queue or retry_heap or in_flight:
-                if self._interrupt_reason is not None:
-                    interrupted = True
-                if abort_record is not None or interrupted:
-                    break
+            while (queue or retry_heap or in_flight) and abort is None:
                 now = time.monotonic()
+                if interrupted or self._interrupt_reason is not None:
+                    if drain_deadline is None:
+                        interrupted = True
+                        queue.clear()
+                        retry_heap.clear()
+                        drain_deadline = now + min(
+                            self.timeout or DRAIN_GRACE, DRAIN_GRACE)
+                        signals_seen = self._interrupt_count
+                        continue
+                    if now >= drain_deadline \
+                            or self._interrupt_count > signals_seen:
+                        break
                 while retry_heap and retry_heap[0][0] <= now:
                     _, _, unit, attempt = heappop(retry_heap)
                     queue.append((unit, attempt))
                 _QUEUE_DEPTH.set(len(queue) + len(retry_heap))
-                while len(in_flight) < nworkers and queue:
-                    unit, attempt = queue.pop()
-                    in_flight.append(self._launch(ctx, unit, attempt))
-                    if attempt == 1:
-                        # started = actually dispatched, not merely
-                        # queued: progress UIs see at most `jobs`
-                        # in-flight units, in dispatch order
-                        yield UnitStarted(unit=unit, completed=completed,
-                                          total=total)
-                if not in_flight:
-                    # only backoff waits remain: sleep until the next
-                    # retry matures (in ticks, to notice signals)
-                    try:
-                        wait = retry_heap[0][0] - time.monotonic()
-                        time.sleep(min(max(wait, 0.0), DISPATCH_TICK))
-                    except KeyboardInterrupt:
-                        interrupted = True
-                    continue
-                wait_timeout = DISPATCH_TICK
-                for flight in in_flight:
-                    if flight.deadline is not None:
-                        wait_timeout = min(wait_timeout,
-                                           max(flight.deadline - now, 0.0))
                 try:
-                    ready = mp_connection.wait(
-                        [f.conn for f in in_flight], timeout=wait_timeout)
+                    while len(in_flight) < slots and queue:
+                        unit, attempt = queue.pop()
+                        if attempt == 1:
+                            # started = actually dispatched, not merely
+                            # queued: progress UIs see at most `jobs`
+                            # in-flight units, in dispatch order (yielded
+                            # first: the in-process worker blocks in
+                            # _launch until the unit is done)
+                            yield UnitStarted(unit=unit, completed=completed,
+                                              total=total)
+                        in_flight.append(self._launch(ctx, unit, attempt))
+                    if not in_flight:
+                        # only backoff waits remain: sleep until the next
+                        # retry matures (in ticks, to notice signals)
+                        time.sleep(min(max(retry_heap[0][0] - now, 0.0),
+                                       DISPATCH_TICK))
+                    elif all(f.outcome is None for f in in_flight):
+                        wait = DISPATCH_TICK
+                        for flight in in_flight:
+                            if flight.deadline is not None:
+                                wait = min(wait,
+                                           max(flight.deadline - now, 0.0))
+                        ready = mp_connection.wait(
+                            [f.conn for f in in_flight], timeout=wait)
+                        now = time.monotonic()
+                        for flight in in_flight:
+                            if flight.conn in ready:
+                                flight.outcome = self._collect(flight)
+                            elif flight.deadline is not None \
+                                    and now >= flight.deadline:
+                                flight.outcome = self._expire(flight)
                 except KeyboardInterrupt:
                     interrupted = True
                     continue
-                ready = set(ready)
-                finished = []
-                now = time.monotonic()
-                for flight in in_flight:
-                    if flight.conn in ready:
-                        flight.outcome = self._collect(flight)
-                        finished.append(flight)
-                    elif flight.deadline is not None \
-                            and now >= flight.deadline:
-                        flight.outcome = self._expire(flight)
-                        finished.append(flight)
-                for flight in finished:
+                # the one settle site: whatever worker ran the attempt,
+                # and whether or not the loop is draining
+                for flight in [f for f in in_flight if f.outcome is not None]:
                     in_flight.remove(flight)
-                    status, data = flight.outcome
-                    if status == "ok":
-                        result_dict, obs = _split_envelope(data)
-                        phases = _absorb_obs(obs)
-                        result = try_run_result_from_dict(result_dict)
-                        if result is None:
-                            status, data = "error", describe_error(
-                                CorruptResultError(
-                                    "worker returned an undecodable "
-                                    "result payload for %s"
-                                    % flight.unit.describe()))
-                        else:
-                            self._record(flight.unit, result_dict)
-                            results[flight.unit.key] = result
-                            completed += 1
-                            yield UnitCompleted(unit=flight.unit,
-                                                result=result,
-                                                completed=completed,
-                                                total=total,
-                                                phases=phases)
-                            continue
-                    record = data
-                    delay = self._retry_delay(record, flight.attempt)
+                    unit = flight.unit
+                    if flight.outcome[0] == "ok":
+                        _, result, result_dict, phases = flight.outcome
+                        # flushed before the event (the store fsyncs per
+                        # record), so --resume picks up exactly past it
+                        self._record(unit, result_dict)
+                        results[unit.key] = result
+                        completed += 1
+                        yield UnitCompleted(unit=unit, result=result,
+                                            completed=completed, total=total,
+                                            phases=phases)
+                        continue
+                    _, record, exc = flight.outcome
+                    delay = None if interrupted \
+                        else self._retry_delay(record, flight.attempt)
                     if delay is not None:
                         self.retried += 1
-                        yield UnitRetrying(unit=flight.unit, error=record,
+                        yield UnitRetrying(unit=unit, error=record,
                                            attempt=flight.attempt,
                                            delay=delay, completed=completed,
                                            total=total)
                         heappush(retry_heap,
                                  (time.monotonic() + delay, next(seq),
-                                  flight.unit, flight.attempt + 1))
+                                  unit, flight.attempt + 1))
                         continue
-                    yield UnitFailed(unit=flight.unit,
-                                     error=record.summary(), record=record,
-                                     attempt=flight.attempt,
+                    yield UnitFailed(unit=unit, error=record.summary(),
+                                     record=record, attempt=flight.attempt,
                                      completed=completed, total=total)
                     if self.on_error == "abort":
-                        abort_record = record
+                        abort = (record, exc)
                         break
-                    self._record_failure(flight.unit, record)
-            if interrupted:
-                # graceful shutdown: drain in-flight results into the
-                # store (bounded), kill the stragglers, then surface the
-                # interruption
-                for event in self._drain(in_flight, results, completed,
-                                         total):
-                    if isinstance(event, UnitCompleted):
-                        completed = event.completed
-                    yield event
-                yield CampaignAborted(
-                    completed=completed, total=total,
-                    reason=self._interrupt_reason or "interrupted")
-                raise KeyboardInterrupt
+                    self._record_failure(unit, record)
         finally:
             _QUEUE_DEPTH.set(0)
             for flight in in_flight:
                 flight.kill()
-        if abort_record is not None:
-            raise resurrect_error(abort_record)
-
-    def _drain(self, in_flight, results, completed, total):
-        """Wait (bounded) for in-flight workers, recording what lands."""
-        grace = DRAIN_GRACE if self.timeout is None \
-            else min(self.timeout, DRAIN_GRACE)
-        deadline = time.monotonic() + grace
-        signals_seen = self._interrupt_count
-        while in_flight and time.monotonic() < deadline:
-            if self._interrupt_count > signals_seen:
-                break  # a second interrupt: stop waiting, kill them all
-            try:
-                ready = mp_connection.wait([f.conn for f in in_flight],
-                                           timeout=DISPATCH_TICK)
-            except KeyboardInterrupt:
-                break
-            for flight in list(in_flight):
-                if flight.conn not in ready:
-                    continue
-                in_flight.remove(flight)
-                status, data = self._collect(flight)
-                if status == "ok":
-                    result_dict, obs = _split_envelope(data)
-                    phases = _absorb_obs(obs)
-                    result = try_run_result_from_dict(result_dict)
-                    if result is not None:
-                        self._record(flight.unit, result_dict)
-                        results[flight.unit.key] = result
-                        completed += 1
-                        yield UnitCompleted(unit=flight.unit, result=result,
-                                            completed=completed, total=total,
-                                            phases=phases)
-                        continue
-                if self.on_error != "abort":
-                    record = data if isinstance(data, ErrorRecord) \
-                        else describe_error(CorruptResultError(
-                            "undecodable result payload during shutdown"))
-                    self._record_failure(flight.unit, record)
+        if interrupted:
+            yield CampaignAborted(
+                completed=completed, total=total,
+                reason=self._interrupt_reason or "interrupted")
+            raise KeyboardInterrupt
+        if abort is not None:
+            # in process the original exception is still live; from a
+            # worker only its structured record crossed the pipe
+            record, exc = abort
+            raise exc if exc is not None else resurrect_error(record)
 
     def run(self, units) -> dict:
         """Execute ``units``; returns ``{key: RunResult}`` for every

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core.campaign import (
-    CampaignResult,
-    DistributionSummary,
-    run_campaign,
-)
+from repro.api import Campaign, check_campaign
+from repro.core.campaign import CampaignResult, DistributionSummary
 from repro.core.configs import ExperimentConfig
 from repro.errors import ConfigurationError
 
@@ -16,6 +13,12 @@ def small_config(**kwargs):
                     nnodes=4, inject_fault=True)
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def run_campaign(config, runs):
+    check_campaign([config], runs)
+    session = Campaign.from_configs([config]).reps(runs).run()
+    return session.campaigns()[config.label()]
 
 
 def test_distribution_summary_basics():

@@ -23,7 +23,7 @@ def test_run_command(capsys):
 
 def test_run_command_with_fault(capsys):
     code = main(["run", "--app", "minivite", "--design", "reinit-fti",
-                 "--nprocs", "8", "--fault", "--reps", "1"])
+                 "--nprocs", "8", "--faults", "single", "--reps", "1"])
     assert code == 0
     out = capsys.readouterr().out
     assert "verified: True" in out
@@ -41,28 +41,13 @@ def test_run_command_with_scenario(capsys):
     assert "(node)" in out
 
 
-def test_run_fault_flag_is_deprecated_alias(capsys):
-    """--fault routes through --faults single: one warning, identical
-    output."""
-    args = ["run", "--app", "minivite", "--design", "reinit-fti",
-            "--nprocs", "8", "--reps", "1"]
-    with pytest.warns(DeprecationWarning, match="--faults single"):
-        assert main(args + ["--fault"]) == 0
-    legacy = capsys.readouterr()
-    # real CLI users see the notice too (default filters would hide
-    # the DeprecationWarning outside __main__)
-    assert "deprecated" in legacy.err
-    assert main(args + ["--faults", "single"]) == 0
-    assert capsys.readouterr().out == legacy.out
-
-
-def test_run_fault_flag_conflicts_with_none_scenario(capsys):
-    with pytest.warns(DeprecationWarning):
-        code = main(["run", "--app", "minivite", "--design", "reinit-fti",
-                     "--nprocs", "8", "--fault", "--faults", "none",
-                     "--reps", "1"])
-    assert code == 2
-    assert "contradicts" in capsys.readouterr().err
+def test_run_fault_flag_is_gone(capsys):
+    """The 1.1-deprecated ``run --fault`` alias was removed in 1.2: the
+    bare flag is no longer a spelling of ``--faults single``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "--app", "minivite", "--design", "reinit-fti",
+              "--nprocs", "8", "--fault", "--reps", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_run_command_rejects_bad_scenario(capsys):

@@ -10,11 +10,9 @@ import shutil
 
 import pytest
 
+from repro.api import Campaign, check_campaign
 from repro.core.breakdown import run_result_from_dict, run_result_to_dict
-from repro.core.campaign import (
-    campaign_results_from_records,
-    run_campaign_matrix,
-)
+from repro.core.campaign import campaign_results_from_records
 from repro.core.configs import (
     ExperimentConfig,
     campaign_matrix,
@@ -41,6 +39,13 @@ def mini_config(**kwargs):
                     inject_fault=True)
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def run_campaign_matrix(configs, runs, jobs=1, engine=None):
+    """``{label: CampaignResult}`` of a distribution campaign."""
+    check_campaign(configs, runs)
+    campaign = Campaign.from_configs(configs).reps(runs).jobs(jobs)
+    return campaign.session(engine=engine).run().campaigns()
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +166,28 @@ def test_parallel_matches_serial_bit_identical():
     assert_bit_identical(serial, parallel)
 
 
+def test_one_loop_in_process_and_spawn_workers_agree(tmp_path):
+    """The engine has one dispatch loop and two workers. With one slot
+    the in-process worker (``jobs=1``) and the spawn worker (``jobs=1``
+    plus a timeout) must produce the same event order and the same
+    store bytes, not merely the same summaries."""
+    configs = [mini_config(app="minivite"),
+               mini_config(app="minivite", design="ulfm-fti")]
+    units = campaign_units(configs, 2)
+
+    def trace(path, **kwargs):
+        engine = CampaignEngine(jobs=1, store_path=str(path), **kwargs)
+        events = [(type(e).__name__, e.unit.key, e.completed)
+                  for e in engine.stream(units) if hasattr(e, "unit")]
+        return events, path.read_bytes()
+
+    in_process = trace(tmp_path / "in_process.jsonl")
+    spawned = trace(tmp_path / "spawned.jsonl", timeout=60)
+    assert in_process == spawned
+    assert [name for name, _, _ in in_process[0]] == \
+        ["UnitStarted", "UnitCompleted"] * len(units)
+
+
 # -- resume -----------------------------------------------------------------
 def test_resume_after_kill(serial_sweep, mini_configs, tmp_path):
     """Truncate the store mid-record (a kill) and resume: only the
@@ -267,12 +294,6 @@ def test_shard_run_matches_serial_and_merge_covers(serial_sweep,
 def test_results_from_records_rejects_empty():
     with pytest.raises(ConfigurationError):
         campaign_results_from_records({})
-
-
-def test_matrix_rejects_engine_plus_execution_kwargs():
-    engine = CampaignEngine(jobs=1)
-    with pytest.raises(ConfigurationError, match="not both"):
-        run_campaign_matrix([mini_config()], runs=2, jobs=4, engine=engine)
 
 
 def test_matrix_rejects_label_collisions():

@@ -459,3 +459,45 @@ def test_parallel_sigterm_drains_and_aborts(tmp_path):
     assert engine.skipped == len(completed)
     baseline = CampaignEngine().run(units)
     assert resumed == baseline
+
+
+def test_drain_emits_unit_failed_for_errors_landing_after_the_signal(
+        tmp_path, monkeypatch):
+    """Regression: a worker error (or an undecodable payload) arriving
+    during the SIGTERM drain was written to the store and counted in
+    ``engine.failed`` without a ``UnitFailed`` event, so the metrics
+    counter, tracer and --progress disagreed with the store. The drain
+    settles outcomes in the same place as normal dispatch: one event
+    per failure record, and no retry is scheduled while draining."""
+    from repro.obs.metrics import REGISTRY
+
+    monkeypatch.setenv("MATCH_CHAOS", json.dumps({
+        "dir": str(tmp_path / "chaos"),
+        "rules": [{"mode": "error", "match": "*#rep0", "times": -1},
+                  {"mode": "corrupt", "match": "*#rep1", "times": -1}],
+    }))
+    counter = REGISTRY.counter("match_campaign_units_total")
+    before = counter.value(outcome="failed")
+    units = campaign_units([mini_config(app="minivite")], runs=2)
+    engine = CampaignEngine(jobs=2, on_error="continue", retries=2,
+                            backoff_base=0.01, store_path="memory:")
+    events = []
+    with pytest.raises(KeyboardInterrupt):
+        for event in engine.stream(units):
+            events.append(event)
+            started = [e for e in events if isinstance(e, UnitStarted)]
+            if isinstance(event, UnitStarted) and len(started) == 2:
+                # both units are (about to be) in flight: the loop sees
+                # the signal on its next tick and drains them
+                os.kill(os.getpid(), signal.SIGTERM)
+    assert isinstance(events[-1], CampaignAborted)
+    assert events[-1].reason == "SIGTERM"
+    failed = [e for e in events if isinstance(e, UnitFailed)]
+    assert not [e for e in events if isinstance(e, UnitRetrying)]
+    assert sorted(e.unit.key for e in failed) == sorted(engine.failures)
+    assert engine.failed == 2
+    assert len(engine.store.load_failures()) == 2
+    assert counter.value(outcome="failed") - before == 2
+    assert {e.record.type for e in failed} == {
+        "repro.core.chaos.ChaosError", "repro.errors.CorruptResultError"}
+    assert all(e.attempt == 1 for e in failed)

@@ -20,9 +20,9 @@ from __future__ import annotations
 import json
 import pathlib
 
+from repro.api import run_single
 from repro.core.breakdown import result_fingerprint
 from repro.core.configs import ExperimentConfig, config_to_dict
-from repro.core.harness import run_experiment
 from repro.fti.config import FtiConfig
 
 HERE = pathlib.Path(__file__).parent
@@ -61,7 +61,7 @@ PINNED = [
 
 
 def outcome_of(config: ExperimentConfig) -> dict:
-    return result_fingerprint(run_experiment(config))
+    return result_fingerprint(run_single(config))
 
 
 def main() -> None:

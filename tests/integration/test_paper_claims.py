@@ -9,7 +9,7 @@ graded against.
 import pytest
 
 from repro.core.configs import ExperimentConfig
-from repro.core.harness import run_experiment, run_experiment_averaged
+from repro.api import run_averaged, run_single
 
 APP = "hpccg"  # fastest of the six; claims are design-level, not app-level
 
@@ -18,7 +18,7 @@ def breakdown(design, nprocs=64, fault=False, input_size="small", seed=1):
     cfg = ExperimentConfig(app=APP, design=design, nprocs=nprocs,
                            input_size=input_size, inject_fault=fault,
                            seed=seed)
-    return run_experiment(cfg).breakdown
+    return run_single(cfg).breakdown
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,6 @@ def test_claim_ckpt_time_grows_modestly_with_scale():
 def test_averaged_fault_experiment_stays_verified():
     cfg = ExperimentConfig(app=APP, design="ulfm-fti", nprocs=64,
                            inject_fault=True)
-    avg = run_experiment_averaged(cfg, repetitions=3)
+    avg = run_averaged(cfg, repetitions=3)
     assert avg.verified
     assert all(r.recovery_episodes == 1 for r in avg.runs)

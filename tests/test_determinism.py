@@ -22,9 +22,9 @@ import pathlib
 
 import pytest
 
+from repro.api import run_single
 from repro.core.breakdown import result_fingerprint
 from repro.core.configs import ExperimentConfig, config_from_dict
-from repro.core.harness import run_experiment
 
 SEED_FILE = pathlib.Path(__file__).parent / "data" / "determinism_seed.json"
 
@@ -32,7 +32,7 @@ SEED_FILE = pathlib.Path(__file__).parent / "data" / "determinism_seed.json"
 def _outcome(config: ExperimentConfig) -> dict:
     # the same fingerprint builder the capture script records with, so
     # the two sides cannot drift apart field-by-field
-    return result_fingerprint(run_experiment(config))
+    return result_fingerprint(run_single(config))
 
 
 @pytest.mark.parametrize("inject_fault", [False, True],

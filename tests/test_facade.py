@@ -312,7 +312,7 @@ def test_session_campaigns_summaries():
     assert all(len(s.runs) == 2 for s in summaries.values())
 
 
-# -- facade == legacy, bit-identical ----------------------------------------
+# -- one-config conveniences == direct execution, bit-identical --------------
 def test_run_single_is_repetition_zero():
     config = small_config(faults="single", seed=9)
     assert run_single(config) == execute_unit(RunUnit(config, 0))
@@ -325,31 +325,6 @@ def test_run_averaged_matches_legacy_semantics():
     direct = [execute_unit(RunUnit(config, rep)) for rep in range(5)]
     assert averaged.runs == direct
     assert run_averaged(small_config()).repetitions == 1  # deterministic
-
-
-def test_legacy_entry_points_are_warning_shims():
-    from repro.core.harness import run_experiment, run_experiment_averaged
-
-    config = small_config(faults="single", seed=4)
-    with pytest.warns(DeprecationWarning, match="run_experiment"):
-        legacy = run_experiment(config)
-    assert legacy == run_single(config)
-    with pytest.warns(DeprecationWarning):
-        legacy_avg = run_experiment_averaged(config, repetitions=2)
-    assert legacy_avg.runs == run_averaged(config, 2).runs
-    assert legacy_avg.breakdown == run_averaged(config, 2).breakdown
-
-
-def test_legacy_campaign_matrix_is_a_shim():
-    from repro.core.campaign import run_campaign_matrix
-
-    configs = [small_config(faults="single")]
-    with pytest.warns(DeprecationWarning, match="run_campaign_matrix"):
-        legacy = run_campaign_matrix(configs, runs=2)
-    modern = Campaign.from_configs(configs).reps(2).run().campaigns()
-    assert list(legacy) == list(modern)
-    for label in legacy:
-        assert legacy[label].report() == modern[label].report()
 
 
 def test_session_campaigns_rejects_label_collisions():

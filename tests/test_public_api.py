@@ -25,8 +25,6 @@ REPRO_EXPORTS = [
     "TABLE1",
     "__version__",
     "register",
-    "run_experiment",
-    "run_experiment_averaged",
 ]
 
 #: the pinned facade surface (sorted)
