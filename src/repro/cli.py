@@ -447,7 +447,7 @@ def _cmd_serve(args) -> int:
                     "--warm takes app or app:nprocs (got %r)" % (spec,))
             workloads.append(AdviceQuery.make(app, nprocs, "1h"))
         entries = service.warm(workloads)
-        print("warmed %d workload(s): %d precomputed entries"
+        print("warmed %d workload(s): %d rankings in the query cache"
               % (len(workloads), entries), file=sys.stderr)
     server = AdvisorServer(service, host=args.host, port=args.port)
     print("advisor service (calibration %s) listening on "
@@ -714,10 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "stores before serving")
     srv_p.add_argument("--warm", nargs="+", default=None,
                        metavar="APP[:NPROCS]",
-                       help="precompute advice grids for these "
-                            "workloads at the canonical MTBF buckets")
+                       help="pre-populate the query cache with these "
+                            "workloads' rankings at the canonical MTBF "
+                            "buckets")
     srv_p.add_argument("--query-cache", type=int, default=4096,
-                       help="LRU query-cache entries (default 4096)")
+                       help="LRU query-cache entries, warmed ones "
+                            "included (default 4096)")
     srv_p.set_defaults(func=_cmd_serve)
 
     val_p = sub.add_parser("model-validate",

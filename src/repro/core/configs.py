@@ -251,6 +251,10 @@ def config_from_dict(data: dict) -> "ExperimentConfig":
     if unknown:
         raise ConfigurationError(
             "config dict has unknown fields %s" % sorted(unknown))
+    missing = sorted({"app", "design"} - set(data))
+    if missing:
+        raise ConfigurationError(
+            "config dict is missing required fields %s" % missing)
     # `faults` may be a serialized dict (or absent, for legacy payloads);
     # __post_init__ normalises either into a FaultScenario
     return ExperimentConfig(

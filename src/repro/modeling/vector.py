@@ -211,6 +211,28 @@ class GridPredictions:
     efficiency: np.ndarray
 
 
+def _compose_makespan(niters, stride, iter_seconds, work, ckpt, read,
+                      repair, expected_failures) -> tuple:
+    """E[T] = W + n·C + N_f·(R + rework), the composition of
+    :func:`repro.modeling.makespan.predict_cell` over broadcastable
+    arrays: ``(n_ckpt, ckpt_total, recovery_total, rework_total,
+    total)``, operation for operation in the scalar order.
+
+    ``stride`` must already be clamped to ``<= niters`` (both callers
+    do), so the scalar ``0.5 * min(stride, niters)`` is ``0.5 *
+    stride``, an exact float product. ``read``/``repair`` are zero
+    where no failure is expected.
+    """
+    n_ckpt = (niters - 1) // stride
+    lost_iters = 0.5 * stride
+    rework_per_failure = lost_iters * iter_seconds + read
+    recovery_total = expected_failures * repair
+    rework_total = expected_failures * rework_per_failure
+    ckpt_total = n_ckpt * ckpt
+    total = work + ckpt_total + recovery_total + rework_total
+    return n_ckpt, ckpt_total, recovery_total, rework_total, total
+
+
 def evaluate_grid(grid: CellGrid, mtbf_seconds) -> GridPredictions:
     """Evaluate a workload grid against a vector of query MTBFs.
 
@@ -224,21 +246,15 @@ def evaluate_grid(grid: CellGrid, mtbf_seconds) -> GridPredictions:
         raise ConfigurationError("MTBF must be positive")
     stride = optimal_stride_array(grid.ckpt_seconds, mtbf,
                                   grid.iter_seconds, grid.niters)
-    n_ckpt = (grid.niters - 1) // stride
     # work / inf == +0.0, the scalar path's explicit zero
     expected_failures = grid.work_seconds / mtbf
     failing = expected_failures > 0.0
-    repair = np.where(failing, grid.repair_seconds, 0.0)
-    read = np.where(failing, grid.read_seconds, 0.0)
-    # stride is already clamped to <= niters, so 0.5 * min(stride,
-    # niters) == 0.5 * stride, an exact float product
-    lost_iters = 0.5 * stride
-    rework_per_failure = lost_iters * grid.iter_seconds + read
-    recovery_total = expected_failures * repair
-    rework_total = expected_failures * rework_per_failure
-    ckpt_total = n_ckpt * grid.ckpt_seconds
-    total = (grid.work_seconds + ckpt_total + recovery_total
-             + rework_total)
+    n_ckpt, ckpt_total, recovery_total, rework_total, total = \
+        _compose_makespan(
+            grid.niters, stride, grid.iter_seconds, grid.work_seconds,
+            grid.ckpt_seconds, np.where(failing, grid.read_seconds, 0.0),
+            np.where(failing, grid.repair_seconds, 0.0),
+            expected_failures)
     with np.errstate(invalid="ignore"):
         efficiency = grid.work_seconds / total
     return GridPredictions(
@@ -351,13 +367,9 @@ def predict_configs(configs, model="analytic") -> list:
     stride = np.array(stride_list, dtype=np.int64)
     niters = np.array(niters_list, dtype=np.int64)
     expected_failures = np.array(ef_list, dtype=np.float64)
-    n_ckpt = (niters - 1) // stride
-    lost_iters = 0.5 * np.minimum(stride, niters)
-    rework_per_failure = lost_iters * iter_arr + read
-    recovery_total = expected_failures * repair
-    rework_total = expected_failures * rework_per_failure
-    ckpt_total = n_ckpt * ckpt
-    total = work + ckpt_total + recovery_total + rework_total
+    _, ckpt_total, recovery_total, rework_total, total = \
+        _compose_makespan(niters, stride, iter_arr, work, ckpt, read,
+                          repair, expected_failures)
     rows = zip(configs, names, levels, stride.tolist(), work.tolist(),
                ckpt_total.tolist(), recovery_total.tolist(),
                rework_total.tolist(), expected_failures.tolist(),

@@ -3,19 +3,18 @@
 Answer path for one query, in order:
 
 1. **LRU** (:mod:`repro.service.lru`) — exact-query hit returns the
-   previously materialized ranking.
-2. **Grid** (:mod:`repro.service.grid`) — a warmed (workload × MTBF
-   bucket) entry, hit only on exact cache-key equality.
-3. **Cold** (:mod:`repro.service.vector`) — vectorized evaluation over
-   the workload's cell grid (built and memoized on first touch), then
-   stored back into the LRU.
+   previously materialized ranking. :meth:`AdvisorService.warm`
+   pre-populates it at the canonical MTBF buckets.
+2. **Cold** (:mod:`repro.service.vector`) — vectorized evaluation over
+   the workload's cell grid (built and memoized on first touch by
+   :mod:`repro.service.grid`), then stored back into the LRU.
 
-All three layers return the *same bits*: the cached objects are the
-vectorized path's output, and the vectorized path is pinned
-bit-identical to :func:`repro.modeling.advisor.advise`. Recalibration
+Both return the *same bits*: the cached objects are the vectorized
+path's output, and the vectorized path is pinned bit-identical to
+:func:`repro.modeling.advisor.advise`. Recalibration
 (:meth:`set_model` / :meth:`recalibrate`) swaps the model, and a
-calibration-version change atomically invalidates every layer — a
-served answer can never mix constants from two calibrations.
+calibration-version change atomically invalidates the LRU and the grid
+memo — a served answer can never mix constants from two calibrations.
 """
 
 from __future__ import annotations
@@ -26,18 +25,15 @@ from ..modeling.vector import predict_configs
 from .grid import DEFAULT_MTBF_BUCKETS, GridCache
 from .lru import LRUCache
 from .query import AdviceQuery
-from .stats import ServiceStats
 from .vector import advise_batch, advise_batch_ranked
 
 
 class AdvisorService:
     """The advisor behind a query-object API, with layered caching."""
 
-    def __init__(self, model="analytic", *, query_cache_size: int = 4096,
-                 buckets=DEFAULT_MTBF_BUCKETS, stats_window: int = 1024):
-        self.grids = GridCache(model=model, buckets=buckets)
+    def __init__(self, model="analytic", *, query_cache_size: int = 4096):
+        self.grids = GridCache(model=model)
         self.queries = LRUCache(maxsize=query_cache_size)
-        self.stats = ServiceStats(window=stats_window)
 
     # -- model lifecycle ----------------------------------------------------
     @property
@@ -52,7 +48,7 @@ class AdvisorService:
 
     def set_model(self, model) -> str:
         """Swap the cost model. A calibration-version change clears the
-        query cache and the grid cache together — no layer may serve
+        query cache and the grid memo together — neither may serve
         rows priced under the old constants. Returns the new version.
         """
         old = self.grids.version
@@ -69,32 +65,46 @@ class AdvisorService:
         return self.set_model(CalibratedModel(constants, base=base))
 
     def warm(self, workloads) -> int:
-        """Precompute grids and bucket advice (see
-        :meth:`repro.service.grid.GridCache.warm`)."""
-        return self.grids.warm(workloads)
+        """Pre-populate the LRU with each workload's full ranking at
+        every :data:`~repro.service.grid.DEFAULT_MTBF_BUCKETS` value.
+
+        ``workloads`` is an iterable of
+        :class:`~repro.service.query.AdviceQuery` (their own MTBF is
+        ignored). Returns the number of (workload, bucket) rankings
+        put. Also builds each workload's cell grid, so even off-bucket
+        queries against a warmed workload skip model pricing.
+        """
+        todo: dict = {}
+        for workload in workloads:
+            self.grids.grid(workload)
+            for bucket in DEFAULT_MTBF_BUCKETS:
+                query = workload.with_mtbf(bucket)
+                todo[query.cache_key] = query
+        ranked = advise_batch_ranked(todo.values(), model=self.model,
+                                     grids=self.grids.grids)
+        for key, rows in zip(todo, ranked):
+            self.queries.put(key, rows)
+        return len(todo)
 
     # -- queries ------------------------------------------------------------
     def advise(self, query: AdviceQuery) -> list:
-        """Full ranked advice for one query, through the layers."""
+        """Full ranked advice for one query: LRU, else cold."""
         key = query.cache_key
         rows = self.queries.get(key)
-        if rows is not None:
-            return rows
-        rows = self.grids.lookup(query)
         if rows is None:
             self.grids.grid(query)
             rows = advise_batch_ranked(
                 [query], model=self.model, grids=self.grids.grids)[0]
-        self.queries.put(key, rows)
+            self.queries.put(key, rows)
         return rows
 
     def advise_batch(self, queries) -> list:
         """Top-ranked advice per query (parallel to the input).
 
-        Cached rankings (LRU or grid) answer with their first row;
-        the misses go through one vectorized sweep. Top-1 answers are
-        not written back to the LRU — only full rankings are cached,
-        so a later ``advise`` of the same query does the work once.
+        Rankings in the LRU answer with their first row; the misses go
+        through one vectorized sweep. Top-1 answers are not written
+        back to the LRU — only full rankings are cached, so a later
+        ``advise`` of the same query does the work once.
         """
         queries = list(queries)
         answers: list = [None] * len(queries)
@@ -102,8 +112,6 @@ class AdvisorService:
         cold_indexes: list = []
         for index, query in enumerate(queries):
             rows = self.queries.get(query.cache_key)
-            if rows is None:
-                rows = self.grids.lookup(query)
             if rows is not None:
                 answers[index] = rows[0]
             else:
@@ -135,17 +143,16 @@ class AdvisorService:
     def metrics(self) -> dict:
         return {"calibration": self.calibration,
                 "query_cache": self.queries.stats(),
-                "grid_cache": self.grids.stats(),
-                "endpoints": self.stats.snapshot()}
+                "grid_cache": self.grids.stats()}
 
     def prometheus(self) -> str:
         """The process registry in Prometheus text exposition format.
 
-        Endpoint counters/latency stream in live via the
-        :mod:`repro.service.stats` shim; cache stats are point-in-time,
-        so their gauges are synced here at scrape time. Output is a
-        pure function of the metric state — two idle scrapes are
-        byte-identical.
+        Endpoint counters/latency are recorded live by
+        :meth:`repro.service.http.AdvisorServer.handle_request`; cache
+        stats are point-in-time, so their gauges are synced here at
+        scrape time. Output is a pure function of the metric state —
+        two idle scrapes are byte-identical.
         """
         from ..obs.metrics import REGISTRY
         from ..obs.prom import render_prometheus

@@ -1,33 +1,26 @@
-"""Precomputed advice grids: the middle cache layer.
+"""The calibration-versioned cell-grid memo.
 
-Two stores, both keyed by canonical query identity and both stamped
-with the cost model's calibration version
-(:func:`repro.modeling.costs.model_version`):
+One :class:`~repro.modeling.vector.CellGrid` per workload signature
+(:attr:`~repro.service.query.AdviceQuery.group_key`): the scalar-priced
+constants the vectorized cold path needs. Building one costs a dozen
+model-protocol calls; serving from it costs none. Rankings are *not*
+kept here — the one ranking cache is the service's LRU
+(:mod:`repro.service.lru`), which warming pre-populates at
+:data:`DEFAULT_MTBF_BUCKETS`.
 
-* **cell grids** — one :class:`~repro.modeling.vector.CellGrid` per
-  workload signature (:attr:`~repro.service.query.AdviceQuery.
-  group_key`): the scalar-priced constants the vectorized cold path
-  needs. Building one costs a dozen model-protocol calls; serving from
-  it costs none.
-* **bucket advice** — fully-ranked advice lists precomputed at
-  canonical MTBF *buckets* (``warm()``), keyed by exact
-  :attr:`~repro.service.query.AdviceQuery.cache_key`. A query hits
-  this layer only when its parsed MTBF equals a bucket value exactly —
-  nearest-bucket answering would break the service's bit-identity
-  guarantee, so there is none.
-
-Invalidation is wholesale and version-driven: ``invalidate()`` (called
-by :meth:`repro.service.core.AdvisorService.set_model` on
-recalibration) drops both stores, and every cached row carries its
-calibration tag so staleness is auditable from the outside.
+Invalidation is wholesale and version-driven: the memo is stamped with
+the cost model's calibration version
+(:func:`repro.modeling.costs.model_version`) and ``set_model`` with a
+different version drops every grid
+(:meth:`repro.service.core.AdvisorService.set_model` flushes the LRU in
+the same step).
 """
 
 from __future__ import annotations
 
-from ..errors import ConfigurationError
 from ..modeling.costs import model_version, resolve_model
 from .query import AdviceQuery
-from .vector import advise_batch_ranked, grid_for_query
+from .vector import grid_for_query
 
 #: the canonical MTBF bucket grid (seconds): the paper's sweep range,
 #: five minutes to a week, at the resolutions operators actually quote
@@ -37,22 +30,14 @@ DEFAULT_MTBF_BUCKETS = (
 
 
 class GridCache:
-    """Versioned store of cell grids and bucket-precomputed advice."""
+    """Versioned memo of cell grids, one per workload signature."""
 
-    def __init__(self, model="analytic", buckets=DEFAULT_MTBF_BUCKETS):
+    def __init__(self, model="analytic"):
         self.model = resolve_model(model)
         self.version = model_version(self.model)
-        buckets = tuple(float(b) for b in buckets)
-        if any(not b > 0 for b in buckets):
-            raise ConfigurationError("MTBF buckets must be positive")
-        self.buckets = buckets
         self._grids: dict = {}
-        self._advice: dict = {}
         self.grid_builds = 0
-        self.hits = 0
-        self.misses = 0
 
-    # -- cell grids ---------------------------------------------------------
     @property
     def grids(self) -> dict:
         """The live group_key -> CellGrid mapping (what
@@ -69,51 +54,13 @@ class GridCache:
             self.grid_builds += 1
         return grid
 
-    # -- bucket advice ------------------------------------------------------
-    def lookup(self, query: AdviceQuery):
-        """The precomputed ranked advice for this exact query, or
-        ``None``. Hits require exact cache-key equality (bucket MTBF
-        included) — never approximation."""
-        rows = self._advice.get(query.cache_key)
-        if rows is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return rows
-
-    def warm(self, workloads) -> int:
-        """Precompute ranked advice for each workload × MTBF bucket.
-
-        ``workloads`` is an iterable of
-        :class:`~repro.service.query.AdviceQuery` (their own MTBF is
-        ignored; each is expanded over :attr:`buckets`). Returns the
-        number of (workload, bucket) entries now resident. Also builds
-        and retains each workload's cell grid, so even off-bucket
-        queries against a warmed workload skip model pricing.
-        """
-        todo = []
-        for workload in workloads:
-            self.grid(workload)
-            for bucket in self.buckets:
-                query = workload.with_mtbf(bucket)
-                if query.cache_key not in self._advice:
-                    todo.append(query)
-        if todo:
-            ranked = advise_batch_ranked(todo, model=self.model,
-                                         grids=self._grids)
-            for query, rows in zip(todo, ranked):
-                self._advice[query.cache_key] = rows
-        return len(self._advice)
-
-    # -- lifecycle ----------------------------------------------------------
     def invalidate(self) -> None:
-        """Drop every grid and precomputed answer (recalibration)."""
+        """Drop every grid (recalibration)."""
         self._grids.clear()
-        self._advice.clear()
 
     def set_model(self, model) -> str:
         """Swap the cost model; if its calibration version differs,
-        every cached entry is invalidated. Returns the live version."""
+        every grid is invalidated. Returns the live version."""
         model = resolve_model(model)
         version = model_version(model)
         if version != self.version:
@@ -123,13 +70,8 @@ class GridCache:
         return self.version
 
     def stats(self) -> dict:
-        lookups = self.hits + self.misses
         return {"version": self.version, "grids": len(self._grids),
-                "precomputed": len(self._advice),
-                "grid_builds": self.grid_builds,
-                "buckets": len(self.buckets),
-                "hits": self.hits, "misses": self.misses,
-                "hit_rate": (self.hits / lookups) if lookups else 0.0}
+                "grid_builds": self.grid_builds}
 
 
 __all__ = ["DEFAULT_MTBF_BUCKETS", "GridCache"]

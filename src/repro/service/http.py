@@ -19,7 +19,7 @@ endpoint              method  body / query parameters
 ``/predict``          POST    ``{"configs": [config-dict, ...]}``
 ``/healthz``          GET     —
 ``/metrics``          GET     — (Prometheus text exposition)
-``/metrics.json``     GET     — (legacy JSON stats snapshot)
+``/metrics.json``     GET     — (calibration + cache stats, JSON)
 ====================  ======  =============================================
 
 Routing and payload handling live in :meth:`AdvisorServer.
@@ -28,6 +28,10 @@ payload)`` function, so endpoint tests need no socket. Malformed input
 maps to 400 with the :class:`~repro.errors.ConfigurationError` message
 (which states the accepted grammar), unknown routes to 404, and
 unexpected errors to 500 — the server never dies on a bad request.
+Every request but the ``/metrics`` scrape is recorded, once, in the
+process registry (:mod:`repro.obs.metrics`): ``match_service_requests_
+total``, ``_errors_total``, ``_items_total`` (batch fan-in) and the
+``match_service_request_seconds`` histogram, all labelled by endpoint.
 """
 
 from __future__ import annotations
@@ -39,9 +43,21 @@ import time
 from urllib.parse import parse_qsl, urlsplit
 
 from ..errors import ConfigurationError, describe_error
+from ..obs.metrics import REGISTRY
 from ..obs.prom import PROM_CONTENT_TYPE
 from .core import AdvisorService
 from .query import AdviceQuery
+
+_REQUESTS = REGISTRY.counter(
+    "match_service_requests_total", "Service requests, by endpoint")
+_ERRORS = REGISTRY.counter(
+    "match_service_errors_total", "Service error responses, by endpoint")
+_ITEMS = REGISTRY.counter(
+    "match_service_items_total",
+    "Queries served including batch fan-in, by endpoint")
+_LATENCY = REGISTRY.histogram(
+    "match_service_request_seconds",
+    "Request handling latency in seconds, by endpoint")
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
@@ -71,6 +87,23 @@ def _json_body(body: bytes):
             "request body is not valid JSON: %s" % (exc,)) from exc
 
 
+#: endpoint -> the methods it answers (anything else is 405; a path
+#: not listed is 404)
+_METHODS = {"/healthz": ("GET",), "/metrics": ("GET",),
+            "/metrics.json": ("GET",), "/advise": ("GET", "POST"),
+            "/advise/batch": ("POST",), "/predict": ("POST",)}
+
+
+def _body_list(body: bytes, field: str) -> list:
+    """The list under ``field`` of a ``{field: [...]}`` JSON body."""
+    payload = _json_body(body)
+    if not isinstance(payload, dict) \
+            or not isinstance(payload.get(field), list):
+        raise ConfigurationError(
+            'request body must be {"%s": [...]}' % field)
+    return payload[field]
+
+
 class AdvisorServer:
     """One advisor service behind an asyncio HTTP listener."""
 
@@ -84,105 +117,73 @@ class AdvisorServer:
     # -- request handling (pure; no I/O) ------------------------------------
     def handle_request(self, method: str, path: str, params: dict,
                        body: bytes) -> tuple:
-        """Route one request; returns ``(status, payload_dict)``."""
-        stats = self.service.stats
-        endpoint = path
+        """Answer one request, ``(status, payload)``, and record it in
+        the ``match_service_*`` instruments — the one recording site.
+
+        The Prometheus scrape is deliberately NOT recorded: a scrape
+        must not perturb the registry it reads, so two idle scrapes
+        stay byte-identical.
+        """
+        if (method, path) == ("GET", "/metrics"):
+            # str payload -> text/plain on the wire
+            return 200, self.service.prometheus()
         items = 1
         started = time.perf_counter()
         try:
-            if path == "/healthz":
-                if method != "GET":
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use GET"})
-                return self._finish(
-                    stats, endpoint, started, 200,
-                    {"status": "ok",
-                     "calibration": self.service.calibration})
-            if path == "/metrics":
-                if method != "GET":
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use GET"})
-                # Prometheus text exposition (str payload -> text/plain);
-                # the legacy JSON snapshot moved to /metrics.json.
-                # Deliberately NOT recorded in stats: a scrape must not
-                # perturb the registry it reads, so two idle scrapes
-                # stay byte-identical.
-                return 200, self.service.prometheus()
-            if path == "/metrics.json":
-                if method != "GET":
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use GET"})
-                return self._finish(stats, endpoint, started, 200,
-                                    self.service.metrics())
-            if path == "/advise":
-                if method == "GET":
-                    query = _query_from_params(params)
-                elif method == "POST":
-                    query = AdviceQuery.from_dict(_json_body(body))
-                else:
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use GET or POST"})
-                rows = self.service.advise(query)
-                return self._finish(
-                    stats, endpoint, started, 200,
-                    {"query": query.to_dict(),
-                     "calibration": self.service.calibration,
-                     "advice": [row.to_dict() for row in rows]})
-            if path == "/advise/batch":
-                if method != "POST":
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use POST"})
-                payload = _json_body(body)
-                if (not isinstance(payload, dict)
-                        or "queries" not in payload):
-                    raise ConfigurationError(
-                        'batch body must be {"queries": [...]}')
-                queries = [AdviceQuery.from_dict(entry)
-                           for entry in payload["queries"]]
-                items = max(1, len(queries))
-                answers = self.service.advise_batch(queries)
-                return self._finish(
-                    stats, endpoint, started, 200,
-                    {"calibration": self.service.calibration,
-                     "advice": [advice.to_dict()
-                                for advice in answers]},
-                    items=items)
-            if path == "/predict":
-                if method != "POST":
-                    return self._finish(stats, endpoint, started, 405,
-                                        {"error": "use POST"})
-                payload = _json_body(body)
-                if (not isinstance(payload, dict)
-                        or "configs" not in payload):
-                    raise ConfigurationError(
-                        'predict body must be {"configs": [...]}')
-                configs = payload["configs"]
-                items = max(1, len(configs))
-                predictions = self.service.predict(configs)
-                return self._finish(
-                    stats, endpoint, started, 200,
-                    {"calibration": self.service.calibration,
-                     "predictions": [prediction.as_dict()
-                                     for prediction in predictions]},
-                    items=items)
-            return self._finish(stats, endpoint, started, 404,
-                                {"error": "no such endpoint %r" % path})
+            status, payload, items = self._route(method, path, params,
+                                                 body)
         except ConfigurationError as exc:
-            return self._finish(stats, endpoint, started, 400,
-                                {"error": str(exc)}, items=items)
+            status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # never let a request kill the server
             record = describe_error(exc)
-            return self._finish(
-                stats, endpoint, started, 500,
-                {"error": "%s: %s" % (record.type, record.message),
-                 "error_record": record.to_dict()},
-                items=items)
-
-    def _finish(self, stats, endpoint, started, status, payload,
-                items: int = 1) -> tuple:
-        stats.record(endpoint, time.perf_counter() - started,
-                     error=status >= 400, items=items)
+            status = 500
+            payload = {"error": "%s: %s" % (record.type, record.message),
+                       "error_record": record.to_dict()}
+        _LATENCY.observe(time.perf_counter() - started, endpoint=path)
+        _REQUESTS.inc(endpoint=path)
+        _ITEMS.inc(items, endpoint=path)
+        if status >= 400:
+            _ERRORS.inc(endpoint=path)
         return status, payload
+
+    def _route(self, method: str, path: str, params: dict,
+               body: bytes) -> tuple:
+        """``(status, payload, items)`` of one request; ``items`` is the
+        number of queries/configs answered (1 outside the batches).
+        Malformed input raises :class:`ConfigurationError`."""
+        service = self.service
+        allowed = _METHODS.get(path)
+        if allowed is None:
+            return 404, {"error": "no such endpoint %r" % path}, 1
+        if method not in allowed:
+            return 405, {"error": "use " + " or ".join(allowed)}, 1
+        if path == "/healthz":
+            return 200, {"status": "ok",
+                         "calibration": service.calibration}, 1
+        if path == "/metrics.json":
+            return 200, service.metrics(), 1
+        if path == "/advise":
+            query = (_query_from_params(params) if method == "GET"
+                     else AdviceQuery.from_dict(_json_body(body)))
+            rows = service.advise(query)
+            return 200, {"query": query.to_dict(),
+                         "calibration": service.calibration,
+                         "advice": [row.to_dict() for row in rows]}, 1
+        if path == "/advise/batch":
+            queries = [AdviceQuery.from_dict(entry)
+                       for entry in _body_list(body, "queries")]
+            answers = service.advise_batch(queries)
+            payload = {"calibration": service.calibration,
+                       "advice": [advice.to_dict() for advice in answers]}
+            return 200, payload, max(1, len(queries))
+        configs = _body_list(body, "configs")  # /predict
+        if not all(isinstance(config, dict) for config in configs):
+            raise ConfigurationError(
+                "every entry of \"configs\" must be an object")
+        payload = {"calibration": service.calibration,
+                   "predictions": [prediction.as_dict() for prediction
+                                   in service.predict(configs)]}
+        return 200, payload, max(1, len(configs))
 
     # -- the wire -----------------------------------------------------------
     async def _read_request(self, reader):

@@ -12,11 +12,11 @@ in Python. The two key views split along the service's cache layers:
     shares it; the batch core groups by it.
 ``cache_key``
     ``group_key`` plus the MTBF — the exact-answer identity the LRU
-    and the grid's bucket store key on.
+    keys on.
 
 Model/calibration version is deliberately *not* part of the key: the
 service pairs keys with its current calibration version and flushes
-wholesale on recalibration (see :mod:`repro.service.grid`).
+wholesale on recalibration (see :mod:`repro.service.core`).
 """
 
 from __future__ import annotations
@@ -59,17 +59,24 @@ class AdviceQuery:
             raise ConfigurationError(
                 "unknown objective %r (have %s)"
                 % (objective, OBJECTIVES))
+        if not (isinstance(designs, (list, tuple))
+                and isinstance(levels, (list, tuple))):
+            # a bare string would be iterated per character
+            raise ConfigurationError(
+                "designs and levels must be lists (got %r, %r)"
+                % (designs, levels))
         designs = tuple(str(design) for design in designs)
-        levels = tuple(int(level) for level in levels)
         if not designs or not levels:
             raise ConfigurationError(
                 "an advice query needs at least one design and level")
         try:
+            levels = tuple(int(level) for level in levels)
             nprocs = int(nprocs)
             nnodes = int(nnodes)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(
-                "nprocs/nnodes must be integers: %s" % (exc,)) from exc
+                "levels/nprocs/nnodes must be integers: %s"
+                % (exc,)) from exc
         if nprocs < 1 or nnodes < 1:
             raise ConfigurationError(
                 "need positive process and node counts")

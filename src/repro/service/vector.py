@@ -64,13 +64,6 @@ def _new_advice(design, level, stride, prediction, calibration):
     return row
 
 
-def _group_indexes(queries) -> dict:
-    groups: dict = {}
-    for index, query in enumerate(queries):
-        groups.setdefault(query.group_key, []).append(index)
-    return groups
-
-
 def _dedupe(queries) -> tuple:
     """``(unique_queries, slot_per_input)``: one evaluation slot per
     distinct cache key.
@@ -95,6 +88,95 @@ def _dedupe(queries) -> tuple:
     return unique, slots
 
 
+def _sweep(queries, model, grids, materialize) -> list:
+    """The sweep both batch paths share: dedupe → resolve the model →
+    group by workload → cell grid → MTBF vector → one
+    :func:`~repro.modeling.vector.evaluate_grid` pass per group.
+
+    ``materialize(grid, predictions, objective, calibration)`` turns one
+    evaluated group into its answers, one per row of
+    ``predictions`` — the only step in which top-1 and full-ranking
+    differ.
+    """
+    queries, slots = _dedupe(queries)
+    model = resolve_model(model)
+    calibration = model_version(model)
+    groups: dict = {}
+    for index, query in enumerate(queries):
+        groups.setdefault(query.group_key, []).append(index)
+    results: list = [None] * len(queries)
+    for group_key, indexes in groups.items():
+        first = queries[indexes[0]]
+        grid = grids.get(group_key) if grids is not None else None
+        if grid is None:
+            grid = grid_for_query(first, model=model)
+        mtbf = np.fromiter(
+            (queries[i].mtbf_seconds for i in indexes),
+            dtype=np.float64, count=len(indexes))
+        answers = materialize(grid, evaluate_grid(grid, mtbf),
+                              first.objective, calibration)
+        for query_index, answer in zip(indexes, answers):
+            results[query_index] = answer
+    return [results[slot] for slot in slots]
+
+
+def _top_rows(grid, predictions, objective, calibration) -> list:
+    """Per query of one group, the first-ranked cell's Advice."""
+    top = top_cell_indexes(predictions, objective)
+    pick = top[:, None]
+
+    def _take(array):
+        return np.take_along_axis(array, pick, axis=1)[:, 0].tolist()
+
+    strides = _take(predictions.stride)
+    works = np.take(grid.work_seconds, top).tolist()
+    ckpts = _take(predictions.ckpt_total)
+    recoveries = _take(predictions.recovery_total)
+    reworks = _take(predictions.rework_total)
+    failures = _take(predictions.expected_failures)
+    totals = _take(predictions.total)
+    app, nprocs = grid.app, grid.nprocs
+    answers = []
+    for j, cell in enumerate(top.tolist()):
+        design, level = grid.cell(cell)
+        prediction = _new_prediction(
+            app, design, nprocs, level, strides[j], works[j],
+            ckpts[j], recoveries[j], reworks[j], failures[j],
+            totals[j])
+        answers.append(_new_advice(
+            design, level, strides[j], prediction, calibration))
+    return answers
+
+
+def _ranked_rows(grid, predictions, objective, calibration) -> list:
+    """Per query of one group, every cell's Advice sorted with the
+    scalar advisor's own rank key."""
+    key = _rank_key(objective)
+    strides = predictions.stride.tolist()
+    ckpts = predictions.ckpt_total.tolist()
+    recoveries = predictions.recovery_total.tolist()
+    reworks = predictions.rework_total.tolist()
+    failures = predictions.expected_failures.tolist()
+    totals = predictions.total.tolist()
+    works = grid.work_seconds.tolist()
+    cells = [grid.cell(c) for c in range(grid.ncells)]
+    app, nprocs = grid.app, grid.nprocs
+    rankings = []
+    for j in range(len(strides)):
+        rows = [
+            _new_advice(design, level, strides[j][c],
+                        _new_prediction(app, design, nprocs, level,
+                                        strides[j][c], works[c],
+                                        ckpts[j][c], recoveries[j][c],
+                                        reworks[j][c], failures[j][c],
+                                        totals[j][c]),
+                        calibration)
+            for c, (design, level) in enumerate(cells)]
+        rows.sort(key=key)
+        rankings.append(rows)
+    return rankings
+
+
 def advise_batch(queries, model="analytic", grids=None) -> list:
     """Top-ranked :class:`~repro.modeling.advisor.Advice` per query.
 
@@ -110,46 +192,7 @@ def advise_batch(queries, model="analytic", grids=None) -> list:
     :class:`~repro.modeling.vector.CellGrid` (the grid cache passes its
     store); missing groups are priced on the fly.
     """
-    all_queries = list(queries)
-    if not all_queries:
-        return []
-    queries, slots = _dedupe(all_queries)
-    model = resolve_model(model)
-    calibration = model_version(model)
-    results: list = [None] * len(queries)
-    for group_key, indexes in _group_indexes(queries).items():
-        first = queries[indexes[0]]
-        grid = grids.get(group_key) if grids is not None else None
-        if grid is None:
-            grid = grid_for_query(first, model=model)
-        mtbf = np.fromiter(
-            (queries[i].mtbf_seconds for i in indexes),
-            dtype=np.float64, count=len(indexes))
-        predictions = evaluate_grid(grid, mtbf)
-        top = top_cell_indexes(predictions, first.objective)
-        pick = top[:, None]
-
-        def _take(array):
-            return np.take_along_axis(array, pick, axis=1)[:, 0].tolist()
-
-        strides = _take(predictions.stride)
-        works = np.take(grid.work_seconds, top).tolist()
-        ckpts = _take(predictions.ckpt_total)
-        recoveries = _take(predictions.recovery_total)
-        reworks = _take(predictions.rework_total)
-        failures = _take(predictions.expected_failures)
-        totals = _take(predictions.total)
-        cells = top.tolist()
-        app, nprocs = grid.app, grid.nprocs
-        for j, query_index in enumerate(indexes):
-            design, level = grid.cell(cells[j])
-            prediction = _new_prediction(
-                app, design, nprocs, level, strides[j], works[j],
-                ckpts[j], recoveries[j], reworks[j], failures[j],
-                totals[j])
-            results[query_index] = _new_advice(
-                design, level, strides[j], prediction, calibration)
-    return [results[slot] for slot in slots]
+    return _sweep(queries, model, grids, _top_rows)
 
 
 def advise_batch_ranked(queries, model="analytic", grids=None) -> list:
@@ -161,48 +204,10 @@ def advise_batch_ranked(queries, model="analytic", grids=None) -> list:
     advisor's own rank key, so each returned list compares ``==`` to
     the scalar call's. Duplicate queries share one ranking list. Used
     where the whole ranking is the answer (the ``/advise`` endpoint,
-    ``Session.advise_many``, grid warming); ``advise_batch`` is the
+    ``Session.advise_many``, LRU warming); ``advise_batch`` is the
     lighter top-1 path.
     """
-    all_queries = list(queries)
-    if not all_queries:
-        return []
-    queries, slots = _dedupe(all_queries)
-    model = resolve_model(model)
-    calibration = model_version(model)
-    results: list = [None] * len(queries)
-    for group_key, indexes in _group_indexes(queries).items():
-        first = queries[indexes[0]]
-        grid = grids.get(group_key) if grids is not None else None
-        if grid is None:
-            grid = grid_for_query(first, model=model)
-        key = _rank_key(first.objective)
-        mtbf = np.fromiter(
-            (queries[i].mtbf_seconds for i in indexes),
-            dtype=np.float64, count=len(indexes))
-        predictions = evaluate_grid(grid, mtbf)
-        strides = predictions.stride.tolist()
-        ckpts = predictions.ckpt_total.tolist()
-        recoveries = predictions.recovery_total.tolist()
-        reworks = predictions.rework_total.tolist()
-        failures = predictions.expected_failures.tolist()
-        totals = predictions.total.tolist()
-        works = grid.work_seconds.tolist()
-        cells = [grid.cell(c) for c in range(grid.ncells)]
-        app, nprocs = grid.app, grid.nprocs
-        for j, query_index in enumerate(indexes):
-            rows = [
-                _new_advice(design, level, strides[j][c],
-                            _new_prediction(app, design, nprocs, level,
-                                            strides[j][c], works[c],
-                                            ckpts[j][c], recoveries[j][c],
-                                            reworks[j][c], failures[j][c],
-                                            totals[j][c]),
-                            calibration)
-                for c, (design, level) in enumerate(cells)]
-            rows.sort(key=key)
-            results[query_index] = rows
-    return [results[slot] for slot in slots]
+    return _sweep(queries, model, grids, _ranked_rows)
 
 
 __all__ = ["advise_batch", "advise_batch_ranked", "grid_for_query"]

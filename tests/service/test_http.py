@@ -107,22 +107,61 @@ def test_error_mapping(server):
     assert status == 400
 
 
+_QUERY = {"app": "hpccg", "nprocs": 64, "mtbf": "1h"}
+
+
+@pytest.mark.parametrize("path,payload,names", [
+    pytest.param("/advise/batch", {"queries": None}, "queries",
+                 id="batch-queries-null"),
+    pytest.param("/advise/batch", {"queries": 5}, "queries",
+                 id="batch-queries-int"),
+    pytest.param("/advise/batch", {"queries": [5]}, "object",
+                 id="batch-query-not-object"),
+    pytest.param("/predict", {"configs": 7}, "configs",
+                 id="predict-configs-int"),
+    pytest.param("/predict", {"configs": [5]}, "object",
+                 id="predict-config-not-object"),
+    pytest.param("/predict", {"configs": [{"app": "hpccg"}]}, "design",
+                 id="predict-config-missing-design"),
+    pytest.param("/advise", dict(_QUERY, levels=5), "must be lists",
+                 id="advise-levels-int"),
+    pytest.param("/advise", dict(_QUERY, levels=["two"]), "levels",
+                 id="advise-level-not-int"),
+    pytest.param("/advise", dict(_QUERY, designs="reinit-fti"),
+                 "must be lists", id="advise-designs-string"),
+])
+def test_malformed_bodies_are_400_not_500(server, path, payload, names):
+    status, answer = _post(server, path, payload)
+    assert status == 400, answer
+    assert names in answer["error"]          # says what was wrong
+    assert "error_record" not in answer      # not an escaped exception
+
+
 def test_requests_are_recorded_in_metrics(server):
+    from repro.obs.metrics import REGISTRY
+
+    requests = REGISTRY.counter("match_service_requests_total")
+    before = {path: requests.value(endpoint=path)
+              for path in ("/healthz", "/advise")}
     _get(server, "/healthz")
     server.handle_request(
         "GET", "/advise", {"app": "hpccg", "nprocs": "64",
                            "mtbf": "1h"}, b"")
+    for path, count in before.items():
+        assert requests.value(endpoint=path) == count + 1
+    # /metrics.json keeps the calibration and the two cache snapshots
     status, payload = _get(server, "/metrics.json")
     assert status == 200
-    endpoints = payload["endpoints"]
-    assert endpoints["/healthz"]["requests"] == 1
-    assert endpoints["/advise"]["requests"] == 1
+    assert sorted(payload) == ["calibration", "grid_cache", "query_cache"]
     assert payload["query_cache"]["size"] == 1
-    # the Prometheus twin serves the same counts as text exposition
+    assert payload["query_cache"]["hit_rate"] == 0.0
+    assert payload["grid_cache"]["grid_builds"] == 1
+    # request counts are served as Prometheus text exposition
     status, text = _get(server, "/metrics")
     assert status == 200
     assert isinstance(text, str)
-    assert 'match_service_requests_total{endpoint="/healthz"}' in text
+    assert ('match_service_requests_total{endpoint="/healthz"} %d'
+            % (before["/healthz"] + 1)) in text
     assert "# TYPE match_service_request_seconds histogram" in text
 
 

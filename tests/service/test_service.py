@@ -1,6 +1,8 @@
 """AdvisorService layering: every layer serves the same bits, and
 recalibration invalidates all of them at once."""
 
+import inspect
+
 from repro.api import Campaign
 from repro.modeling.advisor import advise
 from repro.modeling.fit import CalibratedModel, FittedConstants
@@ -10,6 +12,8 @@ from repro.service.query import AdviceQuery
 
 
 def test_cold_lru_and_grid_answers_are_identical_to_scalar():
+    # "grid" = a warmed bucket of the canonical MTBF grid, which is an
+    # LRU entry like any other
     scalar = advise("hpccg", 512, "2h")
     query = AdviceQuery.make("hpccg", 512, "2h")
 
@@ -22,19 +26,23 @@ def test_cold_lru_and_grid_answers_are_identical_to_scalar():
     assert cold_service.queries.stats()["hits"] == 1
 
     warm_service = AdvisorService()
-    warm_service.warm([query])
-    grid_hit = warm_service.advise(query)
-    assert grid_hit == scalar
-    assert warm_service.grids.stats()["hits"] == 1
+    warm_service.warm([query])                  # 2h is a bucket
+    warmed = warm_service.advise(query)
+    assert warmed == scalar
+    assert warm_service.queries.stats()["hits"] == 1
 
 
 def test_advise_batch_layers_and_matches_scalar():
     service = AdvisorService()
     queries = [AdviceQuery.make("hpccg", 512, mtbf)
-               for mtbf in ("30m", "1h", "2h", "1h", "30m")]
+               for mtbf in ("30m", "1h", "90m", "1h", "30m")]
     service.advise(queries[0])                  # park one in the LRU
-    service.warm([queries[1]])                  # buckets cover 1h/2h
+    service.warm([queries[1]])                  # buckets cover 30m/1h
+    before = service.queries.stats()
     answers = service.advise_batch(queries)
+    after = service.queries.stats()
+    assert after["hits"] == before["hits"] + 4  # 90m goes cold
+    assert after["misses"] == before["misses"] + 1
     for query, answer in zip(queries, answers):
         assert answer == advise("hpccg", 512, query.mtbf_seconds)[0]
 
@@ -44,7 +52,7 @@ def test_recalibration_changes_version_and_flushes_every_layer():
     query = AdviceQuery.make("hpccg", 64, "1h")
     service.warm([query])
     before = service.advise(query)
-    assert len(service.queries) == 1
+    assert len(service.queries) > 0
     assert before[0].calibration == "analytic"
 
     model = CalibratedModel(FittedConstants(app_scale={"hpccg": 1.4}))
@@ -52,7 +60,7 @@ def test_recalibration_changes_version_and_flushes_every_layer():
     assert version == model.version
     assert service.calibration == version
     assert len(service.queries) == 0            # LRU flushed
-    assert service.grids.stats()["precomputed"] == 0
+    assert service.grids.stats()["grids"] == 0
 
     after = service.advise(query)
     assert after == advise("hpccg", 64, 3600.0, model=model)
@@ -101,4 +109,14 @@ def test_metrics_shape():
     assert metrics["calibration"] == "analytic"
     assert metrics["query_cache"]["size"] == 1
     assert metrics["grid_cache"]["grids"] == 1
-    assert metrics["endpoints"] == {}           # no HTTP traffic yet
+    assert metrics["grid_cache"]["grid_builds"] == 1
+    assert sorted(metrics) == ["calibration", "grid_cache", "query_cache"]
+
+
+def test_constructor_surface_is_pinned():
+    from repro.service.grid import GridCache
+
+    assert list(inspect.signature(AdvisorService.__init__).parameters) \
+        == ["self", "model", "query_cache_size"]
+    assert list(inspect.signature(GridCache.__init__).parameters) \
+        == ["self", "model"]

@@ -1,9 +1,6 @@
-"""ServiceStats: per-endpoint counters and latency aggregates.
-
-Since the module became a shim over :mod:`repro.obs.metrics`, these
-tests also pin the seam: local snapshots stay per-instance zero-based
-while the process registry mirrors every record cumulatively, and the
-registry lock keeps counts exact under concurrent writers.
+"""Request accounting: ``AdvisorServer.handle_request`` records every
+request exactly once in the :mod:`repro.obs` registry — the one store
+of request statistics — and the ``/metrics`` scrape records nothing.
 """
 
 import http.client
@@ -12,114 +9,136 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigurationError
 from repro.obs.metrics import REGISTRY
-from repro.service.stats import ServiceStats
+from repro.service.core import AdvisorService
+from repro.service.http import AdvisorServer
+
+ADVISE = {"app": "hpccg", "nprocs": "64", "mtbf": "1h"}
 
 
-def test_counts_and_latency_aggregates():
-    stats = ServiceStats()
-    stats.record("/advise", 0.010)
-    stats.record("/advise", 0.030)
-    stats.record("/advise", 0.020, error=True)
-    snap = stats.snapshot()["/advise"]
-    assert snap["requests"] == 3
-    assert snap["errors"] == 1
-    assert snap["latency_min_seconds"] == 0.010
-    assert snap["latency_max_seconds"] == 0.030
-    assert snap["latency_mean_seconds"] == pytest.approx(0.020)
+def _counts(endpoint) -> dict:
+    """The four ``match_service_*`` instruments' values for one
+    endpoint label, read off a registry snapshot."""
+    snapshot = REGISTRY.snapshot()
+
+    def sample(name, default):
+        for row in snapshot.get(name, {}).get("samples", ()):
+            if row["labels"] == {"endpoint": endpoint}:
+                return row["value"]
+        return default
+
+    latency = sample("match_service_request_seconds",
+                     {"count": 0, "sum": 0.0})
+    return {"requests": sample("match_service_requests_total", 0),
+            "errors": sample("match_service_errors_total", 0),
+            "items": sample("match_service_items_total", 0),
+            "observations": latency["count"],
+            "seconds": latency["sum"]}
 
 
-def test_batch_items_counted_separately_from_requests():
-    stats = ServiceStats()
-    stats.record("/advise/batch", 0.5, items=1000)
-    snap = stats.snapshot()["/advise/batch"]
-    assert snap["requests"] == 1
-    assert snap["items"] == 1000
+def _moved(before, after) -> dict:
+    return {key: after[key] - before[key]
+            for key in ("requests", "errors", "items", "observations")}
 
 
-def test_percentiles_over_recent_window():
-    stats = ServiceStats(window=100)
-    for i in range(1, 101):
-        stats.record("/advise", i / 1000.0)
-    snap = stats.snapshot()["/advise"]
-    assert snap["latency_p50_seconds"] == pytest.approx(0.050, abs=2e-3)
-    assert snap["latency_p95_seconds"] == pytest.approx(0.095, abs=2e-3)
+@pytest.fixture
+def server():
+    return AdvisorServer(AdvisorService())
 
 
-def test_window_bounds_percentile_memory():
-    stats = ServiceStats(window=10)
-    for _ in range(50):
-        stats.record("/advise", 1.0)        # old, slow
-    for _ in range(10):
-        stats.record("/advise", 0.001)      # recent, fast
-    snap = stats.snapshot()["/advise"]
-    assert snap["latency_p95_seconds"] == 0.001   # window forgot the 1.0s
-    assert snap["latency_max_seconds"] == 1.0     # lifetime max remembers
+def test_counts_and_latency_aggregates(server):
+    before = _counts("/advise")
+    server.handle_request("GET", "/advise", ADVISE, b"")
+    server.handle_request("GET", "/advise", ADVISE, b"")
+    server.handle_request("GET", "/advise", dict(ADVISE, mtbf="bogus"),
+                          b"")
+    after = _counts("/advise")
+    assert _moved(before, after) == {"requests": 3, "errors": 1,
+                                     "items": 3, "observations": 3}
+    assert after["seconds"] > before["seconds"]
 
 
-def test_endpoints_are_independent():
-    stats = ServiceStats()
-    stats.record("/advise", 0.01)
-    stats.record("/healthz", 0.001)
-    snap = stats.snapshot()
-    assert set(snap) == {"/advise", "/healthz"}
-    assert snap["/healthz"]["requests"] == 1
+def _boom(query):
+    raise RuntimeError("boom")
 
 
-def test_rejects_bad_window():
-    with pytest.raises(ConfigurationError):
-        ServiceStats(window=0)
+@pytest.mark.parametrize("status,method,path,params,body", [
+    (200, "GET", "/healthz", {}, b""),
+    (200, "GET", "/metrics.json", {}, b""),
+    (400, "POST", "/advise", {}, b"not json"),
+    (404, "GET", "/nope", {}, b""),
+    (405, "DELETE", "/advise", {}, b""),
+    (405, "POST", "/metrics", {}, b""),
+    (500, "GET", "/advise", ADVISE, b""),
+])
+def test_every_status_class_is_recorded_exactly_once(
+        server, monkeypatch, status, method, path, params, body):
+    if status == 500:
+        monkeypatch.setattr(server.service, "advise", _boom)
+    before = _counts(path)
+    answered, payload = server.handle_request(method, path, params, body)
+    assert answered == status
+    if status == 500:
+        assert payload["error_record"]["type"] == "RuntimeError"
+    assert _moved(before, _counts(path)) == {
+        "requests": 1, "errors": 1 if status >= 400 else 0,
+        "items": 1, "observations": 1}
 
 
-# -- the repro.obs shim seam -------------------------------------------------
-def test_empty_latency_window_omits_percentiles():
-    # an endpoint touched zero times through record() has no window;
-    # the snapshot must omit the percentile keys rather than invent 0.0
-    stats = ServiceStats()
-    snap = stats.endpoint("/advise").snapshot()
-    assert snap["requests"] == 0
-    assert snap["latency_mean_seconds"] == 0.0
-    assert snap["latency_min_seconds"] is None
-    assert "latency_p50_seconds" not in snap
-    assert "latency_p95_seconds" not in snap
+def test_batch_items_counted_separately_from_requests(server):
+    queries = [{"app": "hpccg", "nprocs": 64, "mtbf": 300 + i}
+               for i in range(1000)]
+    before = _counts("/advise/batch")
+    status, payload = server.handle_request(
+        "POST", "/advise/batch", {},
+        json.dumps({"queries": queries}).encode())
+    assert status == 200 and len(payload["advice"]) == 1000
+    assert _moved(before, _counts("/advise/batch")) == {
+        "requests": 1, "errors": 0, "items": 1000, "observations": 1}
 
 
-def test_window_eviction_is_bounded():
-    stats = ServiceStats(window=4)
-    for i in range(100):
-        stats.record("/advise", float(i))
-    endpoint = stats.endpoint("/advise")
-    assert len(endpoint._recent) == 4
-    assert list(endpoint._recent) == [96.0, 97.0, 98.0, 99.0]
-    snap = endpoint.snapshot()
-    assert snap["latency_p50_seconds"] == 98.0   # nearest-rank over 4
-    assert snap["requests"] == 100               # lifetime unaffected
+def test_endpoints_are_independent(server):
+    advise, healthz = _counts("/advise"), _counts("/healthz")
+    server.handle_request("GET", "/healthz", {}, b"")
+    assert _moved(advise, _counts("/advise"))["requests"] == 0
+    assert _moved(healthz, _counts("/healthz"))["requests"] == 1
 
 
-def test_record_mirrors_into_the_process_registry():
-    counter = REGISTRY.counter(
-        "match_service_requests_total", "Service requests, by endpoint")
-    before = counter.value(endpoint="/predict")
-    stats = ServiceStats()
-    stats.record("/predict", 0.001)
-    stats.record("/predict", 0.002, error=True, items=5)
-    assert counter.value(endpoint="/predict") == before + 2
-    # a fresh instance still snapshots zero-based locally
-    assert ServiceStats().snapshot() == {}
+def test_record_mirrors_into_the_process_registry(server):
+    # the registry is process-wide: a second server's requests land on
+    # the same cumulative counters, and /metrics serves them as text
+    before = _counts("/predict")
+    body = json.dumps({"configs": [
+        {"app": "hpccg", "design": "reinit-fti", "nprocs": 64}] * 5})
+    server.handle_request("POST", "/predict", {}, body.encode())
+    other = AdvisorServer(AdvisorService())
+    other.handle_request("POST", "/predict", {}, b"")
+    after = _counts("/predict")
+    assert _moved(before, after) == {"requests": 2, "errors": 1,
+                                     "items": 6, "observations": 2}
+    status, text = other.handle_request("GET", "/metrics", {}, b"")
+    assert status == 200
+    assert ('match_service_requests_total{endpoint="/predict"} %d'
+            % after["requests"]) in text
+
+
+def test_metrics_scrape_is_not_recorded(server):
+    server.handle_request("GET", "/healthz", {}, b"")
+    before = _counts("/metrics")
+    first = server.handle_request("GET", "/metrics", {}, b"")
+    second = server.handle_request("GET", "/metrics", {}, b"")
+    assert first == second              # idle scrapes are byte-identical
+    assert _counts("/metrics") == before
 
 
 def test_concurrent_records_from_threaded_server_are_exact():
-    # drive the real asyncio server from N client threads so record()
-    # runs concurrently with registry mirroring; every count must land
-    from repro.service.core import AdvisorService
-    from repro.service.http import AdvisorServer
-
-    service = AdvisorService()
-    server = AdvisorServer(service, host="127.0.0.1", port=0)
+    # drive the real asyncio server from N client threads; the
+    # registry's lock must land every count
+    server = AdvisorServer(AdvisorService(), host="127.0.0.1", port=0)
     server.start_in_thread()
     n_threads, per_thread = 8, 25
     failures = []
+    before = _counts("/healthz")
 
     def hammer():
         conn = http.client.HTTPConnection("127.0.0.1", server.port,
@@ -141,17 +160,17 @@ def test_concurrent_records_from_threaded_server_are_exact():
     for thread in threads:
         thread.join()
     assert not failures
-    snap = service.stats.snapshot()["/healthz"]
-    assert snap["requests"] == n_threads * per_thread
-    assert snap["errors"] == 0
-    # and the Prometheus side agrees with itself
+    total = n_threads * per_thread
+    assert _moved(before, _counts("/healthz")) == {
+        "requests": total, "errors": 0, "items": total,
+        "observations": total}
+    # and the Prometheus text over the socket agrees
     conn = http.client.HTTPConnection("127.0.0.1", server.port,
                                       timeout=30)
     try:
-        conn.request("GET", "/metrics.json")
-        payload = json.loads(conn.getresponse().read())
+        conn.request("GET", "/metrics")
+        text = conn.getresponse().read().decode()
     finally:
         conn.close()
-    healthz = payload["endpoints"]["/healthz"]
-    assert healthz["requests"] == n_threads * per_thread
-    assert healthz["latency_p95_seconds"] >= healthz["latency_p50_seconds"]
+    assert ('match_service_requests_total{endpoint="/healthz"} %d'
+            % _counts("/healthz")["requests"]) in text
