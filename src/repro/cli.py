@@ -166,6 +166,14 @@ def _parse_designs(value: str):
     return designs
 
 
+def _parse_int_list(flag: str, value: str) -> tuple:
+    try:
+        return tuple(int(part) for part in value.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            "%s takes comma-separated integers (got %r)" % (flag, value))
+
+
 def _matrix_campaign(args):
     """The Campaign a ``campaign``-shaped flag set describes."""
     campaign = (_base_campaign(args)
@@ -411,7 +419,7 @@ def _cmd_advise(args) -> int:
     from .modeling import MODELS  # noqa: F401  (imports the registry)
     from .modeling.advisor import advise, render_advice
 
-    levels = tuple(int(v) for v in args.levels.split(","))
+    levels = _parse_int_list("--levels", args.levels)
     t0 = time.perf_counter()
     rows = advise(args.app, args.nprocs, args.mtbf,
                   input_size=args.input, nnodes=args.nnodes,
@@ -463,8 +471,7 @@ def _cmd_model_validate(args) -> int:
     from .modeling.validate import validate_model
 
     report = validate_model(
-        app=args.app, nprocs=tuple(int(p) for p in
-                                   args.nprocs.split(",")),
+        app=args.app, nprocs=_parse_int_list("--nprocs", args.nprocs),
         designs=_parse_designs(args.design), faults=args.faults,
         reps=args.runs, input_size=args.input, nnodes=args.nnodes,
         model=args.model, error_budget=args.budget, jobs=args.jobs,

@@ -75,10 +75,9 @@ class Network:
         return self.bcast_time(nprocs, nbytes)
 
     def allreduce_time(self, nprocs: int, nbytes: int) -> float:
-        """Recursive-doubling allreduce: log2(P) * (alpha + n/beta)."""
-        alpha, beta = self._alpha_beta()
-        rounds = math.ceil(self._log2(nprocs))
-        return rounds * (alpha + nbytes / beta)
+        """Recursive-doubling allreduce: log2(P) * (alpha + n/beta),
+        the binomial tree's rounds."""
+        return self.bcast_time(nprocs, nbytes)
 
     def allgather_time(self, nprocs: int, nbytes_per_rank: int) -> float:
         """Ring allgather: (P-1) steps, each sending one rank's block."""
@@ -97,10 +96,9 @@ class Network:
         return self.gather_time(nprocs, nbytes_per_rank)
 
     def alltoall_time(self, nprocs: int, nbytes_per_pair: int) -> float:
-        """Pairwise-exchange alltoall: P-1 steps of per-pair blocks."""
-        alpha, beta = self._alpha_beta()
-        steps = max(1, nprocs - 1)
-        return steps * (alpha + nbytes_per_pair / beta)
+        """Pairwise-exchange alltoall: P-1 steps of per-pair blocks, the
+        ring allgather's step count and volume."""
+        return self.allgather_time(nprocs, nbytes_per_pair)
 
     def scan_time(self, nprocs: int, nbytes: int) -> float:
         """Recursive-doubling inclusive scan."""

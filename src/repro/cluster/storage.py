@@ -103,6 +103,11 @@ class NodeStorage:
         self.ssd.wipe()
 
 
+#: the default PFS's aggregate bandwidth, bytes/s (also what the
+#: analytic cost model prices L4 writes against)
+PFS_BANDWIDTH = 5.0e10
+
+
 class ParallelFileSystem(ByteStore):
     """Shared PFS (Lustre-style): durable, bandwidth shared across writers.
 
@@ -110,7 +115,7 @@ class ParallelFileSystem(ByteStore):
     writers; the FTI L4 layer passes the writer count.
     """
 
-    def __init__(self, aggregate_bandwidth: float = 5.0e10,
+    def __init__(self, aggregate_bandwidth: float = PFS_BANDWIDTH,
                  latency: float = 2e-3):
         super().__init__("pfs", aggregate_bandwidth, latency)
 

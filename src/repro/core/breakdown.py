@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..faults.plans import FaultEvent, TimedFault
+
 
 @dataclass
 class TimeBreakdown:
@@ -80,7 +82,7 @@ def _fault_event_to_wire(event) -> list:
     ``time``/``epoch`` carried too or replay-from-store would decode a
     different experiment.
     """
-    if getattr(event, "time", None) is not None:
+    if isinstance(event, TimedFault):
         return [event.rank, event.iteration, event.kind,
                 event.time, event.epoch]
     return [event.rank, event.iteration, event.kind]
@@ -88,12 +90,8 @@ def _fault_event_to_wire(event) -> list:
 
 def _fault_event_from_wire(entry):
     if len(entry) == 5:
-        from ..faults.plans import TimedFault
-
         rank, _iteration, kind, time, epoch = entry
         return TimedFault(time=time, rank=rank, kind=kind, epoch=epoch)
-    from ..faults.plans import FaultEvent
-
     rank, iteration, kind = entry
     return FaultEvent(rank, iteration, kind)
 

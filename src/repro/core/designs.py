@@ -95,14 +95,11 @@ class DesignBase:
         total = 0.0
         relaunches = 0
         results = None
-        #: timed plans scope events to a job incarnation; iteration plans
-        #: have no epoch attribute and ignore all of this
-        timed = hasattr(fault_plan, "epoch")
-        hook = getattr(fault_plan, "phase_hook", None)
+        hook = fault_plan.phase_hook
         while True:
-            if timed:
-                fault_plan.epoch = relaunches
-            if hook is not None and hasattr(hook, "epoch"):
+            # timed events are scoped to a job incarnation
+            fault_plan.epoch = relaunches
+            if hook is not None:
                 hook.epoch(relaunches)
             runtime = self.build_runtime(app, registry, fti_config,
                                          fault_plan, fti_stats)

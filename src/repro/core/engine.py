@@ -53,7 +53,6 @@ import itertools
 import multiprocessing
 import os
 import signal
-import sys
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
@@ -213,13 +212,20 @@ def shard_units(units, k: int, n: int):
     return list(units)[k - 1::n]
 
 
-def execute_unit(unit: RunUnit) -> RunResult:
+def execute_unit(unit: RunUnit, *, plan=None, phase_hook=None) -> RunResult:
     """Run one unit exactly as the serial harness would.
 
-    This is the single execution path: both workers of the dispatch
-    loop and ``api.run_single``-style one-offs all come through here,
-    which is what makes the parallel/serial equivalence a structural
-    property instead of a test-only promise.
+    This is the single execution path — the only caller of a design's
+    ``run_job``: both workers of the dispatch loop, ``api.run_single``-
+    style one-offs and the explore probes all come through here, which
+    is what makes the parallel/serial equivalence a structural property
+    instead of a test-only promise.
+
+    ``plan`` replaces the fault plan drawn from the unit's scenario (a
+    timeline probe replays an already-lowered prefix). ``phase_hook``
+    observes the run; this is the one place a hook is installed, beside
+    whatever hook the plan already carries (an ``at-phase`` plan's
+    ``ProgressGuard``), never instead of it.
     """
     from .designs import DESIGNS
     from .harness import build_cluster, make_fault_plan
@@ -228,22 +234,26 @@ def execute_unit(unit: RunUnit) -> RunResult:
     cluster = build_cluster(config)
     design = DESIGNS[config.design](cluster)
     app = config.make_app()
-    plan = make_fault_plan(config, app, unit.rep)
-    # phase capture rides the plan's hook slot; consulting sys.modules
-    # (not importing) keeps the untraced path at one dict lookup
-    trace_mod = sys.modules.get("repro.obs.trace")
-    if trace_mod is not None:
-        trace_mod.attach_phase_hook(plan)
+    if plan is None:
+        plan = make_fault_plan(config, app, unit.rep)
+    if phase_hook is not None:
+        if plan.phase_hook is not None:
+            from ..explore.timeline import PhaseFanout
+
+            phase_hook = PhaseFanout(plan.phase_hook, phase_hook)
+        plan.phase_hook = phase_hook
     return design.run_job(app, config.fti, plan, label=config.label())
 
 
 def _observed_execute(unit: RunUnit, trace: bool, profile_dir, attempt: int):
     """``execute_unit`` plus telemetry capture.
 
-    Returns ``(result, obs)`` where ``obs`` may carry ``phases`` (wire
-    rows of the run's phase spans, virtual time). Both telemetry paths
-    are strictly observational: the simulation result is bit-identical
-    with them on, off, or profiled (the determinism pins enforce this).
+    Returns ``(result, obs)`` where a traced run's ``obs`` carries
+    ``phases`` (wire rows of its phase spans, virtual time) and
+    ``iterations`` (the highest main-loop iteration index started).
+    Both telemetry paths are strictly observational: the simulation
+    result is bit-identical with them on, off, or profiled (the
+    determinism pins enforce this).
     """
     if profile_dir:
         from ..obs.profiling import maybe_profile
@@ -251,17 +261,17 @@ def _observed_execute(unit: RunUnit, trace: bool, profile_dir, attempt: int):
         profiled = maybe_profile(profile_dir, unit.key, attempt)
     else:
         profiled = nullcontext()
-    obs: dict = {}
     with profiled:
-        if trace:
-            from ..obs import trace as obs_trace
+        if not trace:
+            # the bare call shape: chaos tests and perfbench patch
+            # execute_unit with one-argument callables
+            return execute_unit(unit), {}
+        from ..explore.timeline import PhaseRecorder
 
-            with obs_trace.capture_phases() as recorder:
-                result = execute_unit(unit)
-            obs["phases"] = obs_trace.spans_to_wire(recorder)
-        else:
-            result = execute_unit(unit)
-    return result, obs
+        recorder = PhaseRecorder()
+        result = execute_unit(unit, phase_hook=recorder)
+    return result, {"phases": recorder.to_wire(),
+                    "iterations": recorder.last_iteration}
 
 
 def _proc_worker(payload: dict, conn) -> None:
@@ -333,14 +343,18 @@ def _absorb_obs(obs):
     metric deltas merge into the registry (the in-process worker wrote
     to it directly and ships none).
 
-    Returns the attempt's phase-span rows (for the UnitCompleted event).
+    Returns a traced attempt's UnitCompleted fields (``phases``,
+    ``iterations``); empty for an untraced one.
     """
     if not obs:
-        return ()
+        return {}
     metrics = obs.get("metrics")
     if metrics:
         OBS_REGISTRY.merge(metrics)
-    return tuple(tuple(row) for row in obs.get("phases", ()))
+    if "phases" not in obs:
+        return {}
+    return {"phases": tuple(tuple(row) for row in obs["phases"]),
+            "iterations": obs.get("iterations", -1)}
 
 
 def _load_chaos():
@@ -354,7 +368,7 @@ def _load_chaos():
 class _InFlight:
     """One launched unit attempt. ``process``/``conn`` are None for the
     in-process worker, whose ``outcome`` is already set at launch;
-    ``outcome`` is ``("ok", result, result_dict, phases)`` or
+    ``outcome`` is ``("ok", result, result_dict, traced_fields)`` or
     ``("error", record, live_exception_or_None)``."""
 
     unit: RunUnit
@@ -679,13 +693,13 @@ class CampaignEngine:
         if status == "error":
             return ("error", ErrorRecord.from_dict(data), None)
         result_dict, obs = _split_envelope(data)
-        phases = _absorb_obs(obs)
+        traced = _absorb_obs(obs)
         result = try_run_result_from_dict(result_dict)
         if result is None:
             return ("error", describe_error(CorruptResultError(
                 "worker returned an undecodable result payload for %s"
                 % flight.unit.describe())), None)
-        return ("ok", result, result_dict, phases)
+        return ("ok", result, result_dict, traced)
 
     def _expire(self, flight: _InFlight) -> tuple:
         """Kill a flight past its deadline; a timeout error outcome."""
@@ -771,7 +785,7 @@ class CampaignEngine:
                     in_flight.remove(flight)
                     unit = flight.unit
                     if flight.outcome[0] == "ok":
-                        _, result, result_dict, phases = flight.outcome
+                        _, result, result_dict, traced = flight.outcome
                         # flushed before the event (the store fsyncs per
                         # record), so --resume picks up exactly past it
                         self._record(unit, result_dict)
@@ -779,7 +793,7 @@ class CampaignEngine:
                         completed += 1
                         yield UnitCompleted(unit=unit, result=result,
                                             completed=completed, total=total,
-                                            phases=phases)
+                                            **traced)
                         continue
                     _, record, exc = flight.outcome
                     delay = None if interrupted \

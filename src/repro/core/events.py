@@ -75,6 +75,8 @@ class UnitCompleted(RunEvent):
     when the campaign runs with tracing enabled (``Campaign.trace()`` /
     ``--trace``); empty otherwise. :class:`repro.obs.trace.Tracer`
     consumes them to nest sim phases inside the unit's wall-time span.
+    ``iterations`` is the highest main-loop iteration index the traced
+    run started (``-1`` untraced): a count, so not a span.
     """
 
     unit: object
@@ -82,6 +84,7 @@ class UnitCompleted(RunEvent):
     completed: int
     total: int
     phases: tuple = ()
+    iterations: int = -1
 
 
 @dataclass(frozen=True)

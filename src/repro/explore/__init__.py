@@ -26,6 +26,7 @@ from . import kinds  # noqa: F401  (registers at-phase / worst-of)
 from .guards import DEFAULT_LIMIT, ProgressGuard
 from .schedule import AnchoredFault, FaultSchedule
 from .timeline import (
+    PhaseHook,
     PhaseRecorder,
     PhaseSpan,
     PhaseTimeline,
@@ -63,6 +64,7 @@ __all__ = [
     "ExploreContext",
     "ExploreOutcome",
     "FaultSchedule",
+    "PhaseHook",
     "PhaseRecorder",
     "PhaseSpan",
     "PhaseTimeline",

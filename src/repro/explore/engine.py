@@ -3,15 +3,15 @@
 Ties the pieces together:
 
 * :func:`lower_scenario` / :func:`lower_schedule` — turn a
-  phase-anchored :class:`~repro.explore.schedule.FaultSchedule` into an
-  exact-time :class:`~repro.faults.plans.TimedFaultPlan` for one exact
-  configuration. Lowering is **iterative**: event *k* resolves against
-  a timeline probed with events ``0..k-1`` already replayed, so a later
-  event may target a recovery phase an earlier event provokes (the
-  probe for ``ckpt.L1.write;ulfm.shrink`` replays the checkpoint-window
-  kill and records the repair it triggers). The final plan carries a
-  :class:`~repro.explore.guards.ProgressGuard` as its phase hook, so a
-  schedule that livelocks a design fails structurally.
+  phase-anchored :class:`~repro.explore.schedule.FaultSchedule` into a
+  :class:`~repro.faults.plans.FaultPlan` of exact-time events for one
+  exact configuration. Lowering is **iterative**: event *k* resolves
+  against a timeline probed with events ``0..k-1`` already replayed, so
+  a later event may target a recovery phase an earlier event provokes
+  (the probe for ``ckpt.L1.write;ulfm.shrink`` replays the
+  checkpoint-window kill and records the repair it triggers). The final
+  plan carries a :class:`~repro.explore.guards.ProgressGuard` as its
+  phase hook, so a schedule that livelocks a design fails structurally.
 * :class:`ExploreContext` — what a search strategy sees: the clean
   timeline, a deterministic candidate enumeration, and a memoized
   ``evaluate`` that runs one candidate schedule through the standard
@@ -45,7 +45,7 @@ from .strategies import STRATEGIES
 from .timeline import PhaseTimeline, probe_timeline
 from ..core.events import ExploreFinished, ExploreStarted, ScheduleProbed
 from ..errors import ConfigurationError
-from ..faults.plans import TimedFaultPlan
+from ..faults.plans import FaultPlan
 
 #: (config key, lowered prefix) -> (PhaseTimeline, clean makespan);
 #: probes are deterministic, so the cache is a pure memo
@@ -79,7 +79,7 @@ def _probed(config, prefix: tuple):
 
 # -- lowering ---------------------------------------------------------------
 def lower_schedule(schedule: FaultSchedule, config,
-                   guard_limit: int = DEFAULT_LIMIT) -> TimedFaultPlan:
+                   guard_limit: int = DEFAULT_LIMIT) -> FaultPlan:
     """Lower ``schedule`` against ``config``, iteratively probing."""
     lowered: list = []
     for anchored in schedule.events:
@@ -87,16 +87,16 @@ def lower_schedule(schedule: FaultSchedule, config,
         lowered.append(anchored.lower(timeline, config.nprocs,
                                       config.nnodes))
     events = tuple(sorted(lowered, key=lambda e: (e.epoch, e.time, e.rank)))
-    return TimedFaultPlan(events=events,
-                          phase_hook=ProgressGuard(limit=guard_limit))
+    return FaultPlan(events=events,
+                     phase_hook=ProgressGuard(limit=guard_limit))
 
 
-def lower_scenario(scenario, config) -> TimedFaultPlan:
+def lower_scenario(scenario, config) -> FaultPlan:
     """The ``at-phase`` kind's ``lower_plan`` body."""
     return lower_schedule(FaultSchedule.parse(scenario.schedule), config)
 
 
-def worst_case_plan(scenario, config, rep: int, seed: int) -> TimedFaultPlan:
+def worst_case_plan(scenario, config, rep: int, seed: int) -> FaultPlan:
     """The ``worst-of`` kind's ``lower_plan`` body: exhaustive search
     with a ``count``-candidate budget, then lower the winner.
 

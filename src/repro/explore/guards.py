@@ -11,8 +11,9 @@ the simulator's watchdog budget instead of failing crisply.
 
 :class:`ProgressGuard` converts that symptom into a structured,
 deterministic :class:`~repro.errors.LivelockError`. It rides the
-phase-hook protocol (it *is* a phase hook, optionally wrapping an inner
-one such as a :class:`~repro.explore.timeline.PhaseRecorder`): recovery
+phase-hook protocol (it *is* a :class:`~repro.explore.timeline.
+PhaseHook`; a recorder joins it on the same plan through
+:class:`~repro.explore.timeline.PhaseFanout`): recovery
 phase entries count up, any main-loop ``iteration`` notification —
 i.e. actual application progress — resets the counts. When a recovery
 anchor repeats more than ``limit`` times without an intervening
@@ -27,6 +28,7 @@ engine's structured error record — deterministic, never retried.
 
 from __future__ import annotations
 
+from .timeline import PhaseHook
 from ..errors import LivelockError
 
 #: recovery-phase repetitions tolerated without application progress;
@@ -40,17 +42,12 @@ _RANK_ANCHORS = frozenset({"ulfm.revoke"})
 _SPAN_ANCHORS = frozenset({"reinit.rollback", "restart.redeploy"})
 
 
-class ProgressGuard:
+class ProgressGuard(PhaseHook):
     """Phase hook that raises :class:`LivelockError` on repeated
-    recovery without application progress.
+    recovery without application progress."""
 
-    Forwards every notification to ``inner`` (when given), so it
-    composes transparently with timeline recording.
-    """
-
-    def __init__(self, limit: int = DEFAULT_LIMIT, inner=None):
+    def __init__(self, limit: int = DEFAULT_LIMIT):
         self.limit = limit
-        self.inner = inner
         #: recovery-entry counts since the last observed iteration,
         #: keyed by (rank, anchor) for per-rank protocol steps and by
         #: (-1, anchor) for global spans
@@ -78,28 +75,14 @@ class ProgressGuard:
     def iteration(self, rank: int, i: int, now: float) -> None:
         self._last_iteration = max(self._last_iteration, i)
         self._progress()
-        if self.inner is not None:
-            self.inner.iteration(rank, i, now)
 
     def enter(self, rank: int, anchor: str, now: float) -> None:
         if anchor in _RANK_ANCHORS:
             self._count((rank, anchor), anchor)
-        if self.inner is not None:
-            self.inner.enter(rank, anchor, now)
-
-    def exit(self, rank: int, anchor: str, now: float) -> None:
-        if self.inner is not None:
-            self.inner.exit(rank, anchor, now)
 
     def span(self, rank: int, anchor: str, start: float, end: float) -> None:
         if anchor in _SPAN_ANCHORS:
             self._count((-1, anchor), anchor)
-        if self.inner is not None:
-            self.inner.span(rank, anchor, start, end)
-
-    def epoch(self, n: int) -> None:
-        if self.inner is not None and hasattr(self.inner, "epoch"):
-            self.inner.epoch(n)
 
 
 __all__ = ["DEFAULT_LIMIT", "ProgressGuard"]

@@ -43,6 +43,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .timeline import PhaseTimeline
 from ..errors import ConfigurationError
 from ..faults.plans import TimedFault
@@ -89,7 +91,9 @@ class AnchoredFault:
         if self.occurrence:
             atom += "~%d" % self.occurrence
         if self.offset:
-            atom += "+%g" % self.offset
+            # shortest digits that parse back to this exact float, never
+            # in exponent form (the atom grammar has none)
+            atom += "+" + np.format_float_positional(self.offset, trim="-")
         if self.rank is not None:
             atom += "@r%d" % self.rank
         elif self.node is not None:

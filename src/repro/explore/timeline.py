@@ -5,8 +5,8 @@ ULFM repair step happens before it can aim a fault at it. That timing
 is a property of one exact configuration (app, scale, FTI level,
 stride, design), so we measure it: a **probe run** executes the
 configuration with no new faults while a :class:`PhaseRecorder` —
-riding the runtime's phase-hook protocol — collects every
-``enter``/``exit`` pair and runtime-level ``span`` as a
+riding the runtime's phase-hook protocol (:class:`PhaseHook`) —
+collects every ``enter``/``exit`` pair and runtime-level ``span`` as a
 :class:`PhaseSpan`. :meth:`PhaseTimeline.build` then clusters the
 per-rank spans of each anchor into :class:`PhaseWindow` occurrences
 (cluster-by-overlap, the same episode logic ULFM accounting uses) and
@@ -24,6 +24,11 @@ fault inside the recovery triggered by a first, the probe replays the
 first fault (as exact-time events) and records the recovery phases it
 provokes, exposing ``ulfm.shrink`` or ``restart.redeploy`` windows that
 a fault-free run does not have.
+
+A probe is not a second way to run a job: :func:`probe_timeline` is
+:func:`repro.core.engine.execute_unit` with the prefix as the plan and
+a recorder as the phase hook — the same call a traced campaign unit
+makes.
 """
 
 from __future__ import annotations
@@ -76,7 +81,62 @@ class PhaseWindow:
                    ranks=tuple(data["ranks"]), epoch=data.get("epoch", 0))
 
 
-class PhaseRecorder:
+class PhaseHook:
+    """The phase-hook protocol, as a no-op base.
+
+    The runtime and the designs notify ``plan.phase_hook`` of main-loop
+    iterations, per-rank phase entries/exits, runtime-level spans
+    (``rank == -1``) and job relaunches. Subclass and override what you
+    observe; hooks must never feed back into the simulation other than
+    by raising.
+    """
+
+    def iteration(self, rank: int, i: int, now: float) -> None:
+        """``rank`` starts main-loop iteration ``i``."""
+
+    def enter(self, rank: int, anchor: str, now: float) -> None:
+        """``rank`` enters the phase ``anchor``."""
+
+    def exit(self, rank: int, anchor: str, now: float) -> None:
+        """``rank`` leaves the phase ``anchor``."""
+
+    def span(self, rank: int, anchor: str, start: float, end: float) -> None:
+        """A whole phase priced at once (Reinit rollback, redeploy)."""
+
+    def epoch(self, n: int) -> None:
+        """Job incarnation ``n`` starts (0, then one per relaunch)."""
+
+
+class PhaseFanout(PhaseHook):
+    """Forward every notification to several hooks, in order — how a
+    plan's own :class:`~repro.explore.guards.ProgressGuard` and a
+    recorder share the one ``plan.phase_hook`` slot."""
+
+    def __init__(self, *hooks):
+        self.hooks = hooks
+
+    def iteration(self, rank, i, now):
+        for hook in self.hooks:
+            hook.iteration(rank, i, now)
+
+    def enter(self, rank, anchor, now):
+        for hook in self.hooks:
+            hook.enter(rank, anchor, now)
+
+    def exit(self, rank, anchor, now):
+        for hook in self.hooks:
+            hook.exit(rank, anchor, now)
+
+    def span(self, rank, anchor, start, end):
+        for hook in self.hooks:
+            hook.span(rank, anchor, start, end)
+
+    def epoch(self, n):
+        for hook in self.hooks:
+            hook.epoch(n)
+
+
+class PhaseRecorder(PhaseHook):
     """Phase hook that accumulates :class:`PhaseSpan` records.
 
     ``enter``/``exit`` pairs are matched per ``(rank, anchor)`` —
@@ -112,6 +172,11 @@ class PhaseRecorder:
     def epoch(self, n: int) -> None:
         self._epoch = n
         self._pending.clear()  # the old incarnation's ranks are gone
+
+    def to_wire(self) -> tuple:
+        """Pipe/event-safe rows ``(anchor, rank, start, end, epoch)``."""
+        return tuple((s.anchor, s.rank, s.start, s.end, s.epoch)
+                     for s in self.spans)
 
 
 @dataclass(frozen=True)
@@ -202,19 +267,15 @@ def probe_timeline(config, prefix_events=()):
     events appear in the timeline; an empty prefix probes the clean run.
     Returns ``(timeline, run_result)``.
     """
-    from ..core.designs import DESIGNS
-    from ..core.harness import build_cluster
-    from ..faults.plans import TimedFaultPlan
+    from ..core.engine import RunUnit, execute_unit
+    from ..faults.plans import FaultPlan
 
     recorder = PhaseRecorder()
-    plan = TimedFaultPlan(events=tuple(prefix_events), phase_hook=recorder)
-    cluster = build_cluster(config)
-    design = DESIGNS[config.design](cluster)
-    app = config.make_app()
-    result = design.run_job(app, config.fti, plan,
-                            label=config.label() + "/probe")
+    result = execute_unit(RunUnit(config, 0),
+                          plan=FaultPlan(events=tuple(prefix_events)),
+                          phase_hook=recorder)
     return PhaseTimeline.build(recorder), result
 
 
-__all__ = ["PhaseRecorder", "PhaseSpan", "PhaseTimeline", "PhaseWindow",
-           "probe_timeline"]
+__all__ = ["PhaseFanout", "PhaseHook", "PhaseRecorder", "PhaseSpan",
+           "PhaseTimeline", "PhaseWindow", "probe_timeline"]

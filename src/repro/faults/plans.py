@@ -1,4 +1,4 @@
-"""Fault plans: which rank (or node) dies at which iteration.
+"""Fault plans: which rank (or node) dies, and when.
 
 The paper (§IV-D, Fig. 4) raises SIGTERM on a randomly selected MPI
 process in a randomly selected iteration of the main computation loop.
@@ -7,7 +7,15 @@ choice so experiment repetitions are reproducible — generalised to an
 arbitrary schedule of process and whole-node kill events. Plans are
 drawn from :class:`repro.faults.scenarios.FaultScenario` specs (the
 legacy single kill, k-independent kills, correlated node bursts,
-Poisson/MTBF arrival processes).
+Poisson/MTBF arrival processes, phase-anchored schedules).
+
+There is one plan class and two frozen event types. A
+:class:`FaultEvent` is iteration-indexed and fires at the victim's
+ITER_MARK (:meth:`FaultPlan.event_for`); a :class:`TimedFault` names an
+exact virtual time and a job incarnation and is delivered by the
+scheduler between coroutine yields (:meth:`FaultPlan.due_event`). A
+plan may mix both; the result store keeps them apart by wire shape
+(3- vs 5-element lists, :mod:`repro.core.breakdown`).
 """
 
 from __future__ import annotations
@@ -40,19 +48,68 @@ class FaultEvent:
             raise ConfigurationError("fault kind must be process or node")
 
 
+@dataclass(frozen=True)
+class TimedFault:
+    """Kill ``rank`` (or its whole node) at exact virtual time ``time``.
+
+    Where iteration-indexed events fire at the victim's next ITER_MARK,
+    a timed fault is delivered by the scheduler the moment the victim's
+    clock would pass ``time`` — including *between* the blocking steps
+    of an in-flight ULFM repair or a checkpoint write, which is exactly
+    where phase-anchored schedules aim (see :mod:`repro.explore`).
+
+    ``epoch`` selects the job incarnation the event belongs to: 0 is
+    the initial launch, each job-level relaunch (Restart's abort path)
+    increments it, so "kill during the *second* incarnation's redeploy
+    window" is expressible. Carries ``iteration = -1`` — no ITER_MARK
+    has that index, so :meth:`FaultPlan.event_for` never matches one.
+    """
+
+    time: float
+    rank: int
+    kind: str = "process"
+    epoch: int = 0
+    #: fixed sentinel: timed events are not iteration-indexed
+    iteration: int = -1
+
+    def __post_init__(self):
+        if self.rank < 0 or self.time < 0.0 or self.epoch < 0:
+            raise ConfigurationError(
+                "timed fault needs non-negative time/rank/epoch")
+        if self.kind not in ("process", "node"):
+            raise ConfigurationError("fault kind must be process or node")
+
+
 @dataclass
 class FaultPlan:
-    """A set of scheduled process kills, consulted at every ITER_MARK."""
+    """A schedule of kills: iteration-indexed events consulted at every
+    ITER_MARK (:meth:`event_for`) and exact-time events consulted by the
+    scheduler before it resumes a rank (:meth:`due_event`).
+
+    Every event is one-shot across the whole job, relaunches included.
+    Equality is the schedule alone: the fields below ``events`` are
+    execution state or pure observation.
+    """
 
     events: tuple = ()
-    #: optional phase-instrumentation sink (repro.explore probes /
-    #: repro.obs tracing) — same slot :class:`TimedFaultPlan` carries;
-    #: pure observation, excluded from equality and repr
+    #: current job incarnation; the design's run_job advances this on
+    #: every relaunch so epoch-scoped timed events arm at the right
+    #: lifetime
+    epoch: int = field(default=0, compare=False)
+    #: phase-instrumentation sink (:class:`repro.explore.timeline.
+    #: PhaseHook`); travels on the plan because the plan is the only
+    #: object threaded from the harness into Runtime
     phase_hook: object = field(default=None, repr=False, compare=False)
-    #: events that already fired (kills are one-shot); pure execution
-    #: state, excluded from equality so a partially consumed plan still
-    #: equals a fresh plan scheduling the same events
+    #: events already delivered
     _fired: set = field(default_factory=set, repr=False, compare=False)
+    #: timed-delivery log [(epoch, time, rank)] for regression assertions
+    fired_log: list = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self):
+        #: the exact-time subset; empty for the paper-era plans, which
+        #: is how the scheduler knows to skip :meth:`due_event` entirely
+        self.timed = tuple(e for e in self.events
+                           if isinstance(e, TimedFault))
 
     def event_for(self, rank: int, iteration: int):
         """The armed event for this (rank, iteration), if any (one-shot)."""
@@ -63,18 +120,23 @@ class FaultPlan:
                 return event
         return None
 
-    def should_kill(self, rank: int, iteration: int) -> bool:
-        return self.event_for(rank, iteration) is not None
+    def due_event(self, rank: int, now: float):
+        """The armed timed event for ``rank`` whose time has come.
 
-    def reset(self) -> None:
-        """Re-arm all events (used when replaying a plan after Restart).
-
-        A restarted job resumes from a checkpointed iteration *after* the
-        kill point, so re-arming is safe: ``should_kill`` only fires when
-        the exact iteration is re-executed, which checkpoint recovery
-        skips.
+        Earliest-first among this epoch's due events so two events on
+        one rank deliver in schedule order even if the rank's clock
+        jumps past both in a single blocking step.
         """
-        self._fired.clear()
+        best = None
+        for event in self.timed:
+            if (event.rank == rank and event.epoch == self.epoch
+                    and event.time <= now and event not in self._fired
+                    and (best is None or event.time < best.time)):
+                best = event
+        if best is not None:
+            self._fired.add(best)
+            self.fired_log.append((self.epoch, best.time, best.rank))
+        return best
 
     @property
     def nfaults(self) -> int:
@@ -101,102 +163,3 @@ class FaultPlan:
         rank = rng.randrange(nprocs)
         iteration = rng.randrange(min_iteration, niters)
         return cls(events=(FaultEvent(rank, iteration),))
-
-
-@dataclass(frozen=True)
-class TimedFault:
-    """Kill ``rank`` (or its whole node) at exact virtual time ``time``.
-
-    The exact-time twin of :class:`FaultEvent`: where iteration-indexed
-    events fire at the victim's next ITER_MARK, a timed fault is
-    delivered by the scheduler the moment the victim's clock would pass
-    ``time`` — including *between* the blocking steps of an in-flight
-    ULFM repair or a checkpoint write, which is exactly where
-    phase-anchored schedules aim (see :mod:`repro.explore`).
-
-    ``epoch`` selects the job incarnation the event belongs to: 0 is
-    the initial launch, each job-level relaunch (Restart's abort path)
-    increments it, so "kill during the *second* incarnation's redeploy
-    window" is expressible. Carries ``iteration = -1`` so store
-    serialization (``rank/iteration/kind`` duck-typed attrs) round-trips
-    without a schema change.
-    """
-
-    time: float
-    rank: int
-    kind: str = "process"
-    epoch: int = 0
-    #: fixed sentinel: timed events are not iteration-indexed
-    iteration: int = -1
-
-    def __post_init__(self):
-        if self.rank < 0 or self.time < 0.0 or self.epoch < 0:
-            raise ConfigurationError(
-                "timed fault needs non-negative time/rank/epoch")
-        if self.kind not in ("process", "node"):
-            raise ConfigurationError("fault kind must be process or node")
-
-
-@dataclass
-class TimedFaultPlan:
-    """Exact-time kill schedule, consulted by the scheduler every step.
-
-    Duck-type compatible with :class:`FaultPlan` everywhere the harness
-    touches a plan — ``events``/``nfaults``/``event_for``/``reset`` —
-    but injection happens in :meth:`due_event`, called by
-    :class:`repro.simmpi.runtime.Runtime` before resuming each rank, so
-    a due kill lands between coroutine yields (inside repair protocols)
-    instead of waiting for the next app iteration.
-    """
-
-    events: tuple = ()
-    #: current job incarnation; the design's run_job advances this on
-    #: every relaunch so epoch-scoped events arm at the right lifetime
-    epoch: int = 0
-    #: optional phase-instrumentation sink (see repro.explore.timeline);
-    #: travels on the plan because the plan is the only object threaded
-    #: from the harness into Runtime
-    phase_hook: object = None
-    #: events already delivered (one-shot across the whole job, epochs
-    #: included); execution state, excluded from equality
-    _fired: set = field(default_factory=set, repr=False, compare=False)
-    #: delivery log [(epoch, time, rank)] for regression assertions
-    fired_log: list = field(default_factory=list, repr=False, compare=False)
-
-    def due_event(self, rank: int, now: float):
-        """The armed event for ``rank`` whose time has come (one-shot).
-
-        Earliest-first among this epoch's due events so two events on
-        one rank deliver in schedule order even if the rank's clock
-        jumps past both in a single blocking step.
-        """
-        best = None
-        for event in self.events:
-            if (event.rank == rank and event.epoch == self.epoch
-                    and event.time <= now and event not in self._fired
-                    and (best is None or event.time < best.time)):
-                best = event
-        if best is not None:
-            self._fired.add(best)
-            self.fired_log.append((self.epoch, best.time, best.rank))
-        return best
-
-    def event_for(self, rank: int, iteration: int):
-        """Timed plans never fire on iteration marks."""
-        return None
-
-    def should_kill(self, rank: int, iteration: int) -> bool:
-        return False
-
-    def reset(self) -> None:
-        """No-op: timed events are one-shot per (epoch, event).
-
-        A Restart relaunch re-runs the plan under a *new* epoch (set by
-        the design's run_job), so earlier epochs' fired events must stay
-        fired — unlike iteration-indexed plans, the same virtual time
-        recurs in every incarnation.
-        """
-
-    @property
-    def nfaults(self) -> int:
-        return len(self.events)

@@ -23,8 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import MEMCPY_BANDWIDTH_SHARE, FtiConfig
-from .levels import LEVELS
+from .config import FtiConfig
+from .levels import LEVELS, IoSpecs
 from .metadata import CheckpointRegistry
 from .serializer import ProtectedSet, ScalarRef
 from ..errors import NoCheckpointError
@@ -81,6 +81,12 @@ class Fti:
         self._initialized = False
         self._nominal_bytes = 0
         self.group_comm = self._build_group_comm()
+        #: what the level's nominal I/O formulas price against
+        self._io = IoSpecs(
+            config=self.config, node=cluster.node_spec,
+            network=cluster.network, pfs_bandwidth=cluster.pfs.bandwidth,
+            nprocs=self.nprocs, nnodes=cluster.nnodes,
+            group_size=self.group_comm.size)
 
     def _build_group_comm(self) -> Communicator:
         """Contiguous encoding groups of ``group_size`` ranks (L3)."""
@@ -123,15 +129,6 @@ class Fti:
             return 1.0
         return max(1.0, self._nominal_bytes / actual_len)
 
-    def _memory_contention(self) -> float:
-        """RAMFS writes are memcpy: once the ranks sharing a node demand
-        more than the node's memory bandwidth, writes slow down — the
-        paper's "modest increase with more processes" (§V-C)."""
-        node = self.cluster.node_spec
-        rpn = max(1, -(-self.nprocs // self.cluster.nnodes))
-        share = node.memory_bandwidth * MEMCPY_BANDWIDTH_SHARE / rpn
-        return max(1.0, node.ramfs_bandwidth / share)
-
     def unprotect(self, var_id: int) -> None:
         self.protected.unprotect(var_id)
 
@@ -159,7 +156,7 @@ class Fti:
         # top up measured I/O time to the modeled nominal-volume cost
         if self._nominal_bytes > 0:
             nominal_io = self._level.nominal_write_seconds(
-                self, self._nominal_bytes)
+                self._io, self._nominal_bytes)
             if nominal_io > io_seconds:
                 yield from self.mpi.sleep(nominal_io - io_seconds)
         self.mpi.phase_exit(anchor)
@@ -197,7 +194,7 @@ class Fti:
         factor = self._inflation_factor(len(blob))
         if self._nominal_bytes > 0:
             nominal_io = self._level.nominal_read_seconds(
-                self, self._nominal_bytes)
+                self._io, self._nominal_bytes)
             if nominal_io > io_seconds:
                 yield from self.mpi.sleep(nominal_io - io_seconds)
         self.mpi.phase_exit(anchor)

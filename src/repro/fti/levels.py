@@ -10,15 +10,25 @@ falling back to redundancy when the primary copy is gone.
 * **L3** — L1 plus Reed-Solomon parity across a group of ranks: the group
   survives the loss of half its nodes.
 * **L4** — flush to the parallel file system, optionally differential.
+
+Each level also states its **nominal-volume** write/read path once, as
+``nominal_write_seconds(io, nbytes)`` / ``nominal_read_seconds`` over an
+:class:`IoSpecs` — plain specs, no live job — so ``Fti.checkpoint`` /
+``recover`` (topping measured I/O up to the nominal volume) and the
+analytic cost model (:mod:`repro.modeling.costs`) price the same
+formula through the same function.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
-from .config import MEMCPY_BANDWIDTH_SHARE
+from .config import MEMCPY_BANDWIDTH_SHARE, FtiConfig
 from .metadata import CheckpointRegistry, RankEntry
 from .rs_encoding import pad_to_equal_length, rs_code
+from ..cluster.network import Network
+from ..cluster.node import NodeSpec
 from ..errors import (
     CorruptCheckpointError,
     InsufficientRedundancyError,
@@ -35,23 +45,55 @@ def _blob_path(fti, ckpt_id: int, rank: int) -> str:
     return "fti/ckpt%06d/rank%05d.fti" % (ckpt_id, rank)
 
 
+class IoSpecs(NamedTuple):
+    """What a level's nominal I/O path is priced against: the policy,
+    the machine specs and the job shape — buildable from a live
+    ``Fti`` + ``Cluster`` or from a cost model's parameters alike
+    (a tuple: the model builds one per priced cell)."""
+
+    config: FtiConfig
+    node: NodeSpec
+    network: Network
+    pfs_bandwidth: float
+    nprocs: int
+    nnodes: int
+    #: ranks in this rank's L3 encoding group
+    group_size: int
+    memcpy_share: float = MEMCPY_BANDWIDTH_SHARE
+
+    def local_bandwidth(self) -> float:
+        return (self.node.ssd_bandwidth if self.config.use_ssd
+                else self.node.ramfs_bandwidth)
+
+    def memcpy_bandwidth(self) -> float:
+        """One rank's share of its node's memory bandwidth for
+        checkpoint memcpy (co-located ranks split it)."""
+        rpn = max(1, -(-self.nprocs // self.nnodes))
+        return self.node.memory_bandwidth * self.memcpy_share / rpn
+
+    def memory_contention(self) -> float:
+        """RAMFS writes are memcpy: once the ranks sharing a node demand
+        more than the node's memory bandwidth, writes slow down — the
+        paper's "modest increase with more processes" (§V-C)."""
+        return max(1.0, self.node.ramfs_bandwidth / self.memcpy_bandwidth())
+
+
 class L1Local:
     """Level 1: node-local checkpoint (the paper's evaluated mode)."""
 
     level = 1
 
     # -- nominal-volume cost models (capped-execution inflation) ---------
-    def _local_bandwidth(self, fti) -> float:
-        spec = fti.cluster.node_spec
-        return spec.ssd_bandwidth if fti.config.use_ssd \
-            else spec.ramfs_bandwidth
-
-    def nominal_write_seconds(self, fti, nbytes: int) -> float:
+    @staticmethod
+    def nominal_write_seconds(io: IoSpecs, nbytes: int) -> float:
         """Modeled write time for a nominal-size blob at this level."""
-        return nbytes / self._local_bandwidth(fti) * fti._memory_contention()
+        return nbytes / io.local_bandwidth() * io.memory_contention()
 
-    def nominal_read_seconds(self, fti, nbytes: int) -> float:
-        return nbytes / self._local_bandwidth(fti) * fti._memory_contention()
+    @staticmethod
+    def nominal_read_seconds(io: IoSpecs, nbytes: int) -> float:
+        """The happy path reads the surviving local copy at every
+        level: the L1 write path's cost."""
+        return L1Local.nominal_write_seconds(io, nbytes)
 
     def write(self, fti, mpi, blob: bytes, record):
         store = _local_store(fti)
@@ -88,10 +130,11 @@ class L2Partner(L1Local):
 
     level = 2
 
-    def nominal_write_seconds(self, fti, nbytes: int) -> float:
-        base = L1Local.nominal_write_seconds(self, fti, nbytes)
-        transfer = nbytes / fti.cluster.network.spec.beta_inter
-        partner_write = nbytes / fti.cluster.node_spec.ramfs_bandwidth
+    @staticmethod
+    def nominal_write_seconds(io: IoSpecs, nbytes: int) -> float:
+        base = L1Local.nominal_write_seconds(io, nbytes)
+        transfer = nbytes / io.network.spec.beta_inter
+        partner_write = nbytes / io.node.ramfs_bandwidth
         return base + transfer + partner_write
 
     def write(self, fti, mpi, blob: bytes, record):
@@ -143,15 +186,13 @@ class L3ReedSolomon(L1Local):
 
     level = 3
 
-    def nominal_write_seconds(self, fti, nbytes: int) -> float:
-        base = L1Local.nominal_write_seconds(self, fti, nbytes)
-        k = fti.group_comm.size
-        allgather = fti.cluster.network.allgather_time(k, nbytes)
-        node = fti.cluster.node_spec
-        rpn = max(1, -(-fti.nprocs // fti.cluster.nnodes))
-        encode = 2.0 * k * nbytes / (
-            node.memory_bandwidth * MEMCPY_BANDWIDTH_SHARE / rpn)
-        parity_write = nbytes / self._local_bandwidth(fti)
+    @staticmethod
+    def nominal_write_seconds(io: IoSpecs, nbytes: int) -> float:
+        base = L1Local.nominal_write_seconds(io, nbytes)
+        k = io.group_size
+        allgather = io.network.allgather_time(k, nbytes)
+        encode = 2.0 * k * nbytes / io.memcpy_bandwidth()
+        parity_write = nbytes / io.local_bandwidth()
         return base + allgather + encode + parity_write
 
     def write(self, fti, mpi, blob: bytes, record):
@@ -240,10 +281,10 @@ class L4Pfs(L1Local):
 
     level = 4
 
-    def nominal_write_seconds(self, fti, nbytes: int) -> float:
-        base = L1Local.nominal_write_seconds(self, fti, nbytes)
-        pfs = fti.cluster.pfs
-        share = pfs.bandwidth / max(1, fti.nprocs)
+    @staticmethod
+    def nominal_write_seconds(io: IoSpecs, nbytes: int) -> float:
+        base = L1Local.nominal_write_seconds(io, nbytes)
+        share = io.pfs_bandwidth / max(1, io.nprocs)
         return base + nbytes / share
 
     def write(self, fti, mpi, blob: bytes, record):

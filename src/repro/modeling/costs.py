@@ -1,15 +1,19 @@
-"""Per-design analytic cost models: the simulator's arithmetic, closed form.
+"""Per-design analytic cost models: the simulator's mechanisms, composed.
 
-Every formula here mirrors a mechanism the simulator actually executes —
-the FTI level strategies' nominal write paths (:mod:`repro.fti.levels`),
-the launcher's redeployment phases (:mod:`repro.cluster.launcher`),
-Reinit's daemon-local respawn (:mod:`repro.recovery.reinit`) and ULFM's
-revoke/shrink/spawn/merge/agree protocol constants
-(:class:`repro.simmpi.runtime.Runtime`). The point of sharing the
-constants with the simulator instead of re-stating numbers is that a
-calibration edit to the mechanism propagates to the model — and the
-paper-anchor pin tests (``tests/cluster``) keep the mechanism itself from
-drifting silently.
+The model does not re-derive the simulator's arithmetic, it *calls* it:
+each term is priced by the function the simulator itself charges with —
+the FTI levels' nominal write/read paths (:mod:`repro.fti.levels`, over
+an :class:`~repro.fti.levels.IoSpecs`), the launcher's redeployment
+(:meth:`repro.cluster.launcher.JobLauncher.launch_time`), the
+interconnect's collectives (:class:`repro.cluster.network.Network`),
+Reinit's daemon-local respawn (:meth:`repro.recovery.reinit.ReinitSpec.
+cost`) and ULFM's revoke/shrink/spawn/merge/agree step costs
+(:class:`repro.simmpi.runtime.UlfmSpec`). A calibration edit to a
+mechanism therefore *is* an edit to the model, formula included, and the
+paper-anchor pin tests (``tests/cluster``) keep the mechanism itself
+from drifting silently. What is the model's own is the composition:
+which steps lie on a survivor's critical path, what one checkpoint is
+made of, and (in :mod:`repro.modeling.makespan`) E[T].
 
 Cost models are an extension point: the ``model``
 :class:`repro.registry.Registry` (``MODELS``) maps model names to
@@ -44,16 +48,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..cluster.launcher import LauncherSpec
-from ..cluster.network import NetworkSpec
+from ..cluster.launcher import JobLauncher, LauncherSpec
+from ..cluster.network import Network, NetworkSpec
 from ..cluster.node import NodeSpec
+from ..cluster.storage import PFS_BANDWIDTH
 from ..errors import ConfigurationError
 from ..fti.api import Fti
 from ..fti.config import MEMCPY_BANDWIDTH_SHARE, FtiConfig
+from ..fti.levels import LEVELS, IoSpecs
 from ..recovery.reinit import ReinitSpec
 from ..registry import Registry
 from ..simmpi.overhead import UlfmOverheadModel
-from ..simmpi.runtime import Runtime
+from ..simmpi.runtime import UlfmSpec
 from ..workmodel.model import WorkModel
 
 
@@ -113,30 +119,21 @@ def ranks_per_node(nprocs: int, nnodes: int) -> int:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Every constant the analytic model prices with.
+    """The mechanism specs the analytic model prices through.
 
-    Defaults are the simulator's own specs and protocol constants, so
-    the model predicts the simulator it ships with; swap any field to
-    model a different machine.
+    Defaults are the simulator's own specs, so the model predicts the
+    simulator it ships with; swap any field to model a different
+    machine.
     """
 
     node: NodeSpec = field(default_factory=NodeSpec)
     network: NetworkSpec = field(default_factory=NetworkSpec)
     launcher: LauncherSpec = field(default_factory=LauncherSpec)
     reinit: ReinitSpec = field(default_factory=ReinitSpec)
+    #: ULFM repair step costs (the scheduler's own spec)
+    ulfm: UlfmSpec = field(default_factory=UlfmSpec)
     ulfm_overhead: UlfmOverheadModel = field(
         default_factory=UlfmOverheadModel)
-    #: PFS aggregate bandwidth/latency (ParallelFileSystem defaults)
-    pfs_bandwidth: float = 5.0e10
-    pfs_latency: float = 2e-3
-    #: ULFM repair protocol constants (Runtime's, verbatim)
-    revoke_alpha: float = Runtime.REVOKE_ALPHA
-    shrink_alpha: float = Runtime.SHRINK_ALPHA
-    shrink_per_proc: float = Runtime.SHRINK_PER_PROC
-    agree_alpha: float = Runtime.AGREE_ALPHA
-    merge_alpha: float = Runtime.MERGE_ALPHA
-    spawn_base: float = Runtime.SPAWN_BASE
-    spawn_per_proc: float = Runtime.SPAWN_PER_PROC
     #: FTI's internal coordination collective (Fti.COORD_ALPHA)
     fti_coord_alpha: float = Fti.COORD_ALPHA
     #: memory-bandwidth fraction usable by checkpoint memcpy — the
@@ -158,6 +155,8 @@ class AnalyticCostModel:
 
     def __init__(self, params: CostParams | None = None):
         self.params = params or CostParams()
+        self._network = Network(self.params.network)
+        self._launcher = JobLauncher(self.params.launcher)
 
     # -- shared helpers -----------------------------------------------------
     def compute_factor(self, design: str, nprocs: int) -> float:
@@ -167,23 +166,12 @@ class AnalyticCostModel:
             return self.params.ulfm_overhead.compute_factor(nprocs)
         return 1.0
 
-    def _memcpy_contention(self, nprocs: int, nnodes: int) -> float:
-        """RAMFS writes are memcpy: co-located ranks share the node's
-        memory bandwidth (mirrors ``Fti._memory_contention``)."""
-        node = self.params.node
-        rpn = ranks_per_node(nprocs, nnodes)
-        share = node.memory_bandwidth * self.params.memcpy_share / rpn
-        return max(1.0, node.ramfs_bandwidth / share)
-
-    def _local_bandwidth(self, fti: FtiConfig) -> float:
-        node = self.params.node
-        return node.ssd_bandwidth if fti.use_ssd else node.ramfs_bandwidth
-
-    def _local_write_seconds(self, fti: FtiConfig, nbytes: int,
-                             nprocs: int, nnodes: int) -> float:
-        """The L1 nominal path every level starts from."""
-        return (nbytes / self._local_bandwidth(fti)
-                * self._memcpy_contention(nprocs, nnodes))
+    def _io_specs(self, fti: FtiConfig, nprocs: int, nnodes: int) -> IoSpecs:
+        """What ``Fti`` hands its level's nominal I/O formulas, built
+        from parameters instead of a live job (full encoding groups)."""
+        p = self.params
+        return IoSpecs(fti, p.node, self._network, PFS_BANDWIDTH, nprocs,
+                       nnodes, fti.group_size, p.memcpy_share)
 
     # -- protocol hooks -----------------------------------------------------
     def iteration_seconds(self, app, design: str, nprocs: int,
@@ -205,9 +193,10 @@ class AnalyticCostModel:
 
     def ckpt_write_seconds(self, fti: FtiConfig, nbytes: int, nprocs: int,
                            nnodes: int, design: str = "reinit-fti") -> float:
-        """One checkpoint at the ``fti`` level: serialization compute,
-        the level's nominal storage/network path and FTI's completion
-        collective (mirrors ``Fti.checkpoint``)."""
+        """One checkpoint at the ``fti`` level, composed as
+        ``Fti.checkpoint`` charges it: serialization compute, the
+        level's nominal storage/network path, FTI's metadata agreement
+        and the completion allreduce."""
         if nbytes < 0:
             raise ConfigurationError("checkpoint bytes must be >= 0")
         p = self.params
@@ -216,60 +205,40 @@ class AnalyticCostModel:
         # serialization: one read of the data + one write of the blob
         serialize = p.work_model().seconds(bytes_moved=2.0 * nbytes,
                                            ranks_per_node=rpn) * factor
-        io = self._local_write_seconds(fti, nbytes, nprocs, nnodes)
-        if fti.level == 2:
-            io += nbytes / p.network.beta_inter
-            io += nbytes / p.node.ramfs_bandwidth
-        elif fti.level == 3:
-            k = fti.group_size
-            alpha, beta = p.network.alpha_inter, p.network.beta_inter
-            allgather = max(1, k - 1) * (alpha + nbytes / beta)
-            encode = (2.0 * k * nbytes
-                      / (p.node.memory_bandwidth * p.memcpy_share / rpn))
-            io += allgather + encode + nbytes / self._local_bandwidth(fti)
-        elif fti.level == 4:
-            share = p.pfs_bandwidth / max(1, nprocs)
-            io += nbytes / share
-        # FTI coordination: metadata agreement + the completion allreduce
+        io = LEVELS[fti.level].nominal_write_seconds(
+            self._io_specs(fti, nprocs, nnodes), nbytes)
         coord = p.fti_coord_alpha * _log2(nprocs) * factor
-        allreduce = math.ceil(_log2(nprocs)) * (
-            p.network.alpha_inter + 8 / p.network.beta_inter)
+        allreduce = self._network.allreduce_time(nprocs, 8)
         return serialize + io + coord + allreduce
 
     def ckpt_read_seconds(self, fti: FtiConfig, nbytes: int, nprocs: int,
                           nnodes: int, design: str = "reinit-fti") -> float:
-        """Recovery-time restore: the happy path reads the surviving
-        local copy at every level (mirrors ``Fti.recover``)."""
+        """Recovery-time restore, composed as ``Fti.recover`` charges
+        it: the level's nominal read path plus deserialization."""
         rpn = ranks_per_node(nprocs, nnodes)
         factor = self.compute_factor(design, nprocs)
         deserialize = self.params.work_model().seconds(
             bytes_moved=2.0 * nbytes, ranks_per_node=rpn) * factor
-        io = self._local_write_seconds(fti, nbytes, nprocs, nnodes)
+        io = LEVELS[fti.level].nominal_read_seconds(
+            self._io_specs(fti, nprocs, nnodes), nbytes)
         return deserialize + io
 
     def recovery_seconds(self, design: str, nprocs: int,
                          nnodes: int) -> float:
         """The design's per-failure MPI repair cost."""
-        p = self.params
         if design == "restart-fti":
-            # the launcher's full redeployment (JobLauncher.launch_time)
-            s = p.launcher
-            return (s.allocation_seconds
-                    + math.ceil(_log2(nnodes)) * s.daemon_seconds
-                    + nprocs * s.process_spawn_seconds
-                    + math.ceil(_log2(nprocs)) * s.init_wireup_seconds)
+            return self._launcher.launch_time(nprocs, nnodes)
         if design == "reinit-fti":
-            return p.reinit.cost(nnodes)
+            return self.params.reinit.cost(nnodes)
         if design == "ulfm-fti":
             # survivor critical path: revoke, shrink, spawn one
-            # replacement, merge, two-phase agree (Runtime's charges)
-            log2p = _log2(nprocs)
-            return (p.revoke_alpha * log2p
-                    + p.shrink_alpha * log2p + p.shrink_per_proc * nprocs
-                    + p.spawn_base + p.spawn_per_proc
-                    + p.merge_alpha * log2p          # spawn-side merge
-                    + p.merge_alpha * log2p          # intercomm merge
-                    + 2.0 * p.agree_alpha * log2p)
+            # replacement, intercomm merge, two-phase agree
+            ulfm = self.params.ulfm
+            return (ulfm.revoke_seconds(nprocs)
+                    + ulfm.shrink_seconds(nprocs)
+                    + ulfm.spawn_seconds(1, nprocs)
+                    + ulfm.merge_seconds(nprocs)
+                    + ulfm.agree_seconds(nprocs))
         raise ConfigurationError(
             "the analytic model prices the paper's designs "
             "('restart-fti', 'reinit-fti', 'ulfm-fti'), not %r — "

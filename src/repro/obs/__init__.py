@@ -26,12 +26,11 @@ from .env import OBS_ENV, TRACE_ENV
 from .metrics import REGISTRY, Counter, Gauge, Histogram, MetricsRegistry
 from .prom import PROM_CONTENT_TYPE, render_prometheus
 
-#: lazily exposed: the tracer rides the phase-hook protocol and pulls
-#: in :mod:`repro.explore`; the metrics/prom surface must stay light
-#: enough for :mod:`repro.core.engine` to import at module load
+#: lazily exposed: the tracer pulls in :mod:`repro.core.events`; the
+#: metrics/prom surface must stay light enough for
+#: :mod:`repro.core.engine` to import at module load
 _LAZY = {
     "Tracer": "trace",
-    "capture_phases": "trace",
     "validate_trace": "trace",
 }
 
@@ -56,7 +55,6 @@ __all__ = [
     "REGISTRY",
     "TRACE_ENV",
     "Tracer",
-    "capture_phases",
     "render_prometheus",
     "validate_trace",
 ]

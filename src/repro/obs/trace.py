@@ -6,12 +6,16 @@ Two signal sources merge into one hierarchical trace:
   outer spans — the campaign itself and every unit attempt, stamped
   with wall time (``time.perf_counter``) as the events pass through
   :meth:`Tracer.observe`;
-* the **phase-hook protocol** (PR 9, ``repro.explore.timeline``)
-  supplies the inner spans — iterations, ``ckpt.L<n>.write/read``,
-  ULFM repair steps, Reinit rollback, Restart redeploy — recorded in
-  *virtual* simulator seconds inside the run and linearly mapped into
-  the unit's wall window at export time (``args.sim_start/sim_end``
-  keep the raw coordinates).
+* the **phase-hook protocol** (``repro.explore.timeline.PhaseHook``)
+  supplies the inner spans — ``ckpt.L<n>.write/read``, ULFM repair
+  steps, Reinit rollback, Restart redeploy — recorded in *virtual*
+  simulator seconds inside the run and linearly mapped into the unit's
+  wall window at export time (``args.sim_start/sim_end`` keep the raw
+  coordinates). A traced unit is ``execute_unit(unit, phase_hook=
+  PhaseRecorder())``: the engine hands the recorder in as an argument
+  and ships ``recorder.to_wire()`` plus the iteration high-water mark
+  on :class:`~repro.core.events.UnitCompleted` (through the worker pipe
+  under the spawn worker); nothing in this module runs inside a unit.
 
 The export format is the Chrome trace-event JSON array form wrapped in
 ``{"traceEvents": [...]}`` — load it in Perfetto / ``chrome://tracing``.
@@ -32,100 +36,9 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from contextlib import contextmanager
 
 from ..core import events as ev
 from ..errors import ConfigurationError
-from ..explore.timeline import PhaseRecorder
-
-# -- worker-side phase capture ----------------------------------------------
-
-#: process-global capture slot: ``capture_phases`` installs a recorder
-#: here, ``attach_phase_hook`` (called from ``execute_unit``) picks it
-#: up. One unit executes at a time per process (serial loop or
-#: maxtasksperchild=1 worker), so a single slot is enough.
-_ACTIVE_RECORDER = None
-
-
-class TeeHook:
-    """Forward the phase-hook protocol to two sinks (explore + trace)."""
-
-    def __init__(self, first, second):
-        self._sinks = (first, second)
-
-    def iteration(self, rank, i, now):
-        for sink in self._sinks:
-            sink.iteration(rank, i, now)
-
-    def enter(self, rank, anchor, now):
-        for sink in self._sinks:
-            sink.enter(rank, anchor, now)
-
-    def exit(self, rank, anchor, now):
-        for sink in self._sinks:
-            sink.exit(rank, anchor, now)
-
-    def span(self, rank, anchor, start, end):
-        for sink in self._sinks:
-            sink.span(rank, anchor, start, end)
-
-    def epoch(self, n):
-        for sink in self._sinks:
-            sink.epoch(n)
-
-
-@contextmanager
-def capture_phases():
-    """Install a fresh :class:`PhaseRecorder` as the process capture slot.
-
-    The engine wraps each traced ``execute_unit`` call in this; the
-    recorder's spans ship back on the :class:`~repro.core.events.
-    UnitCompleted` event (serial) or through the worker pipe (parallel).
-    """
-    global _ACTIVE_RECORDER
-    recorder = PhaseRecorder()
-    previous = _ACTIVE_RECORDER
-    _ACTIVE_RECORDER = recorder
-    try:
-        yield recorder
-    finally:
-        _ACTIVE_RECORDER = previous
-
-
-def attach_phase_hook(plan):
-    """Point ``plan.phase_hook`` at the active capture recorder, if any.
-
-    Called by ``execute_unit`` right after the plan is drawn: a no-op
-    unless a :func:`capture_phases` context is open, so untraced runs
-    pay one module-global read. An existing hook (an explore probe) is
-    teed, not displaced.
-    """
-    recorder = _ACTIVE_RECORDER
-    if recorder is None:
-        return plan
-    existing = getattr(plan, "phase_hook", None)
-    hook = recorder if existing is None else TeeHook(existing, recorder)
-    try:
-        plan.phase_hook = hook
-    except AttributeError:
-        # exotic plan types without the attribute slot trace nothing
-        pass
-    return plan
-
-
-def spans_to_wire(recorder):
-    """Recorder -> pipe/event-safe rows ``(anchor, rank, start, end, epoch)``.
-
-    Also carries the iteration high-water mark as a pseudo-span so the
-    trace can annotate progress without a per-iteration firehose.
-    """
-    rows = [(s.anchor, s.rank, s.start, s.end, s.epoch)
-            for s in recorder.spans]
-    if recorder.last_iteration >= 0:
-        rows.append(("iterations", -1, 0.0,
-                     float(recorder.last_iteration), 0))
-    return tuple(rows)
-
 
 # -- the tracer --------------------------------------------------------------
 
@@ -195,8 +108,8 @@ class Tracer:
             self._open[event.unit.key] = track
         elif isinstance(event, ev.UnitCompleted):
             self._close_unit(event.unit, now, "completed",
-                             result=event.result,
-                             phases=getattr(event, "phases", ()))
+                             result=event.result, phases=event.phases,
+                             iterations=event.iterations)
             self._counts["completed"] += 1
         elif isinstance(event, ev.UnitFailed):
             self._close_unit(event.unit, now, "failed",
@@ -215,18 +128,21 @@ class Tracer:
             self._finish_campaign(event, now)
         return event
 
-    def _unit_args(self, unit, outcome, result=None, error=None, attempt=1):
+    def _unit_args(self, unit, outcome, result=None, error=None, attempt=1,
+                   iterations=-1):
         args = {"run_key": unit.key, "label": unit.config.label(),
                 "rep": unit.rep, "outcome": outcome, "attempt": attempt}
         if result is not None:
             args["makespan_sim_sec"] = result.breakdown.total_seconds
             args["verified"] = result.verified
+        if iterations >= 0:
+            args["iterations"] = iterations
         if error is not None:
             args["error"] = error
         return args
 
     def _close_unit(self, unit, now, outcome, result=None, error=None,
-                    phases=()):
+                    phases=(), iterations=-1):
         track = self._open.pop(unit.key, None)
         if track is None:
             # completion without a observed start (e.g. a consumer that
@@ -242,7 +158,7 @@ class Tracer:
             "ts": start, "dur": max(0.0, now - start),
             "pid": self.PID, "tid": tid,
             "args": self._unit_args(unit, outcome, result, error,
-                                    track.attempt)})
+                                    track.attempt, iterations)})
         if phases and result is not None:
             self._emit_phases(unit, phases, result, start, now, tid)
         self._release_tid(tid)

@@ -90,7 +90,7 @@ class MpiApi:
         if hook is not None:
             hook.iteration(self.rank, i, self.now())
         plan = self._runtime.fault_plan
-        if plan is None or not getattr(plan, "events", ()):
+        if plan is None or not plan.events:
             return
         yield Op(OpKind.ITER_MARK, iteration=i)
 

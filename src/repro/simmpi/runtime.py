@@ -155,20 +155,55 @@ class _CollectiveSite:
             self.dead_flag = True
 
 
+@dataclass(frozen=True)
+class UlfmSpec:
+    """Cost constants (seconds) and step formulas of the ULFM recovery
+    operations; the log-depth scaling is what makes ULFM recovery grow
+    with process count (Fig. 7).
+
+    The one statement of each step cost: the scheduler prices its
+    REVOKE/SHRINK/AGREE/MERGE/SPAWN ops through these methods and the
+    analytic model (:mod:`repro.modeling.costs`) composes its survivor
+    critical path from the same calls.
+    """
+
+    revoke_alpha: float = 0.012
+    shrink_alpha: float = 0.11
+    #: ULFM's shrink runs an all-to-all style consensus whose volume grows
+    #: with the group: a per-process term on top of the log-depth rounds
+    shrink_per_proc: float = 0.008
+    agree_alpha: float = 0.055
+    merge_alpha: float = 0.035
+    spawn_base: float = 0.9
+    spawn_per_proc: float = 0.012
+
+    def revoke_seconds(self, nprocs: int) -> float:
+        return self.revoke_alpha * math.log2(max(2, nprocs))
+
+    def shrink_seconds(self, nprocs: int) -> float:
+        return (self.shrink_alpha * math.log2(max(2, nprocs))
+                + self.shrink_per_proc * nprocs)
+
+    def agree_seconds(self, nprocs: int) -> float:
+        """Two-phase agreement: two log-depth waves."""
+        return 2.0 * self.agree_alpha * math.log2(max(2, nprocs))
+
+    def merge_seconds(self, nprocs: int) -> float:
+        return self.merge_alpha * math.log2(max(2, nprocs))
+
+    def spawn_seconds(self, ndead: int, nprocs: int) -> float:
+        """Respawning ``ndead`` replacements into a job of ``nprocs``
+        (includes the spawn-side intercomm merge)."""
+        return (self.spawn_base
+                + self.spawn_per_proc * max(1, ndead)
+                + self.merge_alpha * math.log2(max(2, nprocs)))
+
+
 class Runtime:
     """Owns the coroutines, the clock and all matching state for one job."""
 
-    #: cost constants for ULFM recovery operations (seconds); the log-depth
-    #: scaling is what makes ULFM recovery grow with process count (Fig. 7)
-    REVOKE_ALPHA = 0.012
-    SHRINK_ALPHA = 0.11
-    #: ULFM's shrink runs an all-to-all style consensus whose volume grows
-    #: with the group: a per-process term on top of the log-depth rounds
-    SHRINK_PER_PROC = 0.008
-    AGREE_ALPHA = 0.055
-    MERGE_ALPHA = 0.035
-    SPAWN_BASE = 0.9
-    SPAWN_PER_PROC = 0.012
+    #: the ULFM step-cost spec the scheduler prices recovery ops with
+    ULFM = UlfmSpec()
 
     def __init__(self, cluster: Cluster, nprocs: int,
                  entry: Callable[["MpiApi"], Generator],
@@ -188,13 +223,15 @@ class Runtime:
         self.failure_log = FailureLog(self.detector, nprocs)
         self.overhead = overhead or OverheadModel()
         self.fault_plan = fault_plan
-        #: exact-time injection hook: TimedFaultPlan exposes due_event
-        #: (cached here so ordinary iteration-indexed plans cost nothing
-        #: in the scheduler hot path)
-        self._timed_due = getattr(fault_plan, "due_event", None)
+        #: exact-time injection: the plan's due_event, or None when it
+        #: schedules no TimedFault, so iteration-indexed plans cost one
+        #: None check in the scheduler hot path
+        self._timed_due = (fault_plan.due_event if fault_plan is not None
+                           and fault_plan.timed else None)
         #: phase-anchor instrumentation sink (repro.explore.timeline);
         #: rides on the plan — the only object threaded from the harness
-        self.phase_hook = getattr(fault_plan, "phase_hook", None)
+        self.phase_hook = (fault_plan.phase_hook
+                           if fault_plan is not None else None)
         #: Reinit hooks in here: called instead of aborting the job
         self.on_global_failure = on_global_failure
         self.world = Communicator(range(nprocs), "world",
@@ -439,7 +476,6 @@ class Runtime:
             state.status = RankStatus.DONE
             state.exit_value = stop.value
             self._unfinished -= 1
-            self._on_rank_gone(rank)
             return
         if not isinstance(op, Op):
             raise SimulationError(
@@ -515,7 +551,7 @@ class Runtime:
         event = (self.fault_plan.event_for(rank, op.iteration)
                  if self.fault_plan is not None else None)
         if event is not None:
-            if getattr(event, "kind", "process") == "node":
+            if event.kind == "node":
                 self.kill_node(self.cluster.node_of(rank),
                                iteration=op.iteration)
             else:
@@ -555,9 +591,6 @@ class Runtime:
         state.gen.close()
         self.failure_log.record(rank, failed_at, iteration)
         self._on_failure_recorded(rank)
-
-    def _on_rank_gone(self, rank: int) -> None:
-        """Completion (DONE) needs no matching cleanup; placeholder hook."""
 
     def _on_failure_recorded(self, failed_rank: int) -> None:
         """Wake every op that can now observe the failure."""
@@ -864,12 +897,11 @@ class Runtime:
         elif kind is OpKind.SCAN:
             base = net.scan_time(nprocs, nbytes)
         elif kind is OpKind.SHRINK:
-            base = (self.SHRINK_ALPHA * math.log2(max(2, nprocs))
-                    + self.SHRINK_PER_PROC * nprocs)
+            base = self.ULFM.shrink_seconds(nprocs)
         elif kind is OpKind.AGREE:
-            base = 2.0 * self.AGREE_ALPHA * math.log2(max(2, nprocs))
+            base = self.ULFM.agree_seconds(nprocs)
         elif kind is OpKind.MERGE:
-            base = self.MERGE_ALPHA * math.log2(max(2, nprocs))
+            base = self.ULFM.merge_seconds(nprocs)
         elif kind is OpKind.SPAWN:
             base = 0.0  # priced separately in _resolve_site
         else:
@@ -966,9 +998,7 @@ class Runtime:
         (the paper's non-shrinking recovery restores the original layout).
         """
         dead = list(self.failure_log.failed_ranks())
-        cost = (self.SPAWN_BASE
-                + self.SPAWN_PER_PROC * max(1, len(dead))
-                + self.MERGE_ALPHA * math.log2(max(2, self.nprocs)))
+        cost = self.ULFM.spawn_seconds(len(dead), self.nprocs)
         for rank in dead:
             self._spawn_coroutine(rank, StartState.RESPAWNED)
             self.clock.advance_to(rank, when + cost)
@@ -989,7 +1019,7 @@ class Runtime:
     def _handle_revoke(self, rank: int, op: Op) -> None:
         comm = op.comm
         now = self.clock.now(rank)
-        cost = self.REVOKE_ALPHA * math.log2(max(2, comm.size))
+        cost = self.ULFM.revoke_seconds(comm.size)
         comm.revoke()
         notice_at = now + cost
         # interrupt pending receives from members of this communicator

@@ -80,15 +80,13 @@ def test_pfs_defaults_are_pinned():
 
 # -- ULFM protocol + overhead constants (Figs. 5, 7) ------------------------
 def test_ulfm_protocol_constants_are_pinned():
-    from repro.simmpi.runtime import Runtime
+    from repro.simmpi.runtime import Runtime, UlfmSpec
 
-    assert Runtime.REVOKE_ALPHA == 0.012
-    assert Runtime.SHRINK_ALPHA == 0.11
-    assert Runtime.SHRINK_PER_PROC == 0.008
-    assert Runtime.AGREE_ALPHA == 0.055
-    assert Runtime.MERGE_ALPHA == 0.035
-    assert Runtime.SPAWN_BASE == 0.9
-    assert Runtime.SPAWN_PER_PROC == 0.012
+    assert Runtime.ULFM == UlfmSpec()
+    assert UlfmSpec() == UlfmSpec(
+        revoke_alpha=0.012, shrink_alpha=0.11, shrink_per_proc=0.008,
+        agree_alpha=0.055, merge_alpha=0.035, spawn_base=0.9,
+        spawn_per_proc=0.012)
 
 
 def test_ulfm_overhead_and_fti_coordination_are_pinned():
@@ -112,8 +110,27 @@ def test_modeling_cost_params_mirror_the_pinned_mechanism():
     assert p.network == NetworkSpec()
     assert p.launcher == LauncherSpec()
     assert p.reinit == ReinitSpec()
-    assert p.pfs_bandwidth == ParallelFileSystem().bandwidth
-    assert p.pfs_latency == ParallelFileSystem().latency
+    from repro.simmpi.runtime import Runtime
+
+    assert p.ulfm == Runtime.ULFM
     from repro.fti.config import MEMCPY_BANDWIDTH_SHARE
 
     assert p.memcpy_share == MEMCPY_BANDWIDTH_SHARE
+
+
+def test_model_prices_by_calling_the_pinned_mechanisms():
+    """Not a mirror of the formulas but the formulas themselves: the
+    model's Restart cost *is* the launcher's, and its L4 write is priced
+    against the default PFS's bandwidth."""
+    from repro.cluster.launcher import JobLauncher
+    from repro.cluster.storage import PFS_BANDWIDTH
+    from repro.fti.config import FtiConfig
+    from repro.modeling.costs import AnalyticCostModel
+
+    model = AnalyticCostModel()
+    for nprocs in (64, 512):
+        assert model.recovery_seconds("restart-fti", nprocs, 32) \
+            == JobLauncher().launch_time(nprocs, 32)
+    assert PFS_BANDWIDTH == ParallelFileSystem().bandwidth
+    assert model._io_specs(FtiConfig(level=4), 64, 32).pfs_bandwidth \
+        == ParallelFileSystem().bandwidth

@@ -229,8 +229,17 @@ def test_advise_command_objectives_and_levels(capsys):
 
 
 def test_advise_command_rejects_bad_mtbf(capsys):
-    assert main(["advise", "--app", "hpccg", "--mtbf", "soon"]) == 2
-    assert "MTBF" in capsys.readouterr().err
+    # malformed values exit 2 with the grammar on stderr, no traceback
+    for argv, grammar in [
+        (["advise", "--app", "hpccg", "--mtbf", "soon"], "MTBF"),
+        (["advise", "--app", "hpccg", "--mtbf", "4h", "--levels", "1,x"],
+         "--levels takes comma-separated integers"),
+        (["model-validate", "--nprocs", "64,abc"],
+         "--nprocs takes comma-separated integers"),
+    ]:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and grammar in err
 
 
 def test_model_validate_command_small_campaign(capsys):

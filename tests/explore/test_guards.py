@@ -1,4 +1,4 @@
-"""ProgressGuard: livelock detection and hook forwarding."""
+"""ProgressGuard: livelock detection, and sharing a plan's hook slot."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import LivelockError, SimulationError
 from repro.explore.guards import ProgressGuard
-from repro.explore.timeline import PhaseRecorder
+from repro.explore.timeline import PhaseFanout, PhaseRecorder
 
 
 class TestGuardUnit:
@@ -52,16 +52,23 @@ class TestGuardUnit:
         assert issubclass(LivelockError, SimulationError)
 
     def test_forwards_to_inner_hook(self):
-        inner = PhaseRecorder()
-        guard = ProgressGuard(limit=8, inner=inner)
-        guard.epoch(1)
-        guard.enter(3, "ckpt.L1.write", 1.0)
-        guard.exit(3, "ckpt.L1.write", 1.5)
-        guard.iteration(3, 5, 1.6)
-        guard.span(-1, "reinit.rollback", 2.0, 2.5)
-        assert len(inner.spans) == 2
-        assert inner.last_iteration == 5
-        assert {s.epoch for s in inner.spans} == {1}
+        # the guard no longer wraps: it shares the plan's one hook slot
+        # with a recorder through the fan-out, and both see everything
+        recorder = PhaseRecorder()
+        guard = ProgressGuard(limit=1)
+        hook = PhaseFanout(guard, recorder)
+        hook.epoch(1)
+        hook.enter(3, "ckpt.L1.write", 1.0)
+        hook.exit(3, "ckpt.L1.write", 1.5)
+        hook.iteration(3, 5, 1.6)
+        hook.span(-1, "reinit.rollback", 2.0, 2.5)
+        assert len(recorder.spans) == 2
+        assert recorder.last_iteration == 5
+        assert {s.epoch for s in recorder.spans} == {1}
+        with pytest.raises(LivelockError) as err:
+            hook.span(-1, "reinit.rollback", 3.0, 3.5)
+        assert err.value.iterations_stuck_at == 5  # the guard saw it too
+        assert len(recorder.spans) == 2  # guard first: it vetoes the span
 
 
 class TestGuardIntegration:
@@ -70,11 +77,10 @@ class TestGuardIntegration:
         historically burn the watchdog; the guard converts it into a
         LivelockError naming the repeating phase."""
         from repro.core.configs import ExperimentConfig
-        from repro.core.designs import DESIGNS
-        from repro.core.harness import build_cluster
-        from repro.faults.plans import TimedFault, TimedFaultPlan
+        from repro.core.engine import RunUnit, execute_unit
+        from repro.faults.plans import FaultPlan, TimedFault
 
-        class EndlessKill(TimedFaultPlan):
+        class EndlessKill(FaultPlan):
             def due_event(self, rank, now):
                 if rank == 3 and now > 4.7:
                     return TimedFault(time=now, rank=3)
@@ -82,12 +88,17 @@ class TestGuardIntegration:
 
         config = ExperimentConfig(app="hpccg", nprocs=8,
                                   design="ulfm-fti", faults="none")
-        plan = EndlessKill(phase_hook=ProgressGuard(limit=6))
-        design = DESIGNS[config.design](build_cluster(config))
+        # one scheduled timed event is what makes the scheduler consult
+        # due_event at all; the override then never stops killing
+        plan = EndlessKill(events=(TimedFault(time=4.7, rank=3),),
+                           phase_hook=ProgressGuard(limit=6))
+        recorder = PhaseRecorder()
         with pytest.raises(LivelockError) as err:
-            design.run_job(config.make_app(), config.fti, plan,
-                           label="livelock")
+            execute_unit(RunUnit(config, 0), plan=plan, phase_hook=recorder)
         assert "ulfm.revoke" in err.value.cycle
+        # the traced run still ships what it saw before the verdict
+        assert {s.anchor for s in recorder.spans} >= {"ckpt.L1.write",
+                                                      "ulfm.revoke"}
 
     def test_error_record_resurrects(self):
         from repro.errors import describe_error, resurrect_error

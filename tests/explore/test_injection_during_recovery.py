@@ -13,10 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.configs import ExperimentConfig
-from repro.core.designs import DESIGNS
-from repro.core.harness import build_cluster
+from repro.core.engine import RunUnit, execute_unit
 from repro.explore.timeline import PhaseRecorder, probe_timeline
-from repro.faults.plans import TimedFault, TimedFaultPlan
+from repro.faults.plans import FaultPlan, TimedFault
 from repro.simmpi.runtime import Runtime
 
 
@@ -37,9 +36,7 @@ def _run_with_kill_trace(config, plan):
 
     Runtime.kill = traced
     try:
-        design = DESIGNS[config.design](build_cluster(config))
-        result = design.run_job(config.make_app(), config.fti, plan,
-                                label="trace")
+        result = execute_unit(RunUnit(config, 0), plan=plan)
     finally:
         Runtime.kill = original
     return result, kills
@@ -58,7 +55,7 @@ class TestSecondEventInsideRepair:
         second = TimedFault(time=shrink.start + 0.1, rank=5)
 
         recorder = PhaseRecorder()
-        plan = TimedFaultPlan(events=(first, second),
+        plan = FaultPlan(events=(first, second),
                               phase_hook=recorder)
         result, kills = _run_with_kill_trace(config, plan)
 
@@ -79,7 +76,7 @@ class TestSecondEventInsideRepair:
         config = _config()
         clean, _ = probe_timeline(config)
         ckpt = clean.resolve("ckpt.L1.write", 0)
-        plan = TimedFaultPlan(events=(
+        plan = FaultPlan(events=(
             TimedFault(time=ckpt.start + 0.01, rank=0),))
         result, kills = _run_with_kill_trace(config, plan)
         assert result.verified
@@ -99,11 +96,9 @@ class TestSecondEventInsideRepair:
         read = repaired.resolve("ckpt.L1.read", 0)
 
         def makespan(second_time):
-            plan = TimedFaultPlan(events=(
+            plan = FaultPlan(events=(
                 first, TimedFault(time=second_time, rank=4)))
-            design = DESIGNS[config.design](build_cluster(config))
-            result = design.run_job(config.make_app(), config.fti, plan,
-                                    label="placement")
+            result = execute_unit(RunUnit(config, 0), plan=plan)
             assert result.verified
             return result.breakdown.total_seconds
 

@@ -12,16 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.configs import ExperimentConfig
-from repro.core.designs import DESIGNS
 from repro.core.engine import RunUnit, execute_unit
-from repro.core.harness import build_cluster
 from repro.explore.timeline import probe_timeline
-from repro.faults.plans import TimedFault, TimedFaultPlan
+from repro.faults.plans import FaultEvent, FaultPlan, TimedFault
 
 
-def _run(config, plan, label):
-    design = DESIGNS[config.design](build_cluster(config))
-    return design.run_job(config.make_app(), config.fti, plan, label=label)
+def _run(config, plan):
+    return execute_unit(RunUnit(config, 0), plan=plan)
 
 
 class TestUlfmMidRepair:
@@ -97,11 +94,11 @@ class TestRestartMidRedeploy:
         # almost immediately, forcing a second abort + redeploy
         config = ExperimentConfig(app="hpccg", nprocs=8,
                                   design="restart-fti", faults="none")
-        plan = TimedFaultPlan(events=(
+        plan = FaultPlan(events=(
             TimedFault(time=2.0, rank=3, epoch=0),
             TimedFault(time=0.5, rank=5, epoch=1),
         ))
-        result = _run(config, plan, "restart-twice")
+        result = _run(config, plan)
         assert result.verified
         assert result.relaunches == 2
         assert result.recovery_episodes == 2
@@ -111,10 +108,30 @@ class TestRestartMidRedeploy:
         # even though its time comes first
         config = ExperimentConfig(app="hpccg", nprocs=8,
                                   design="restart-fti", faults="none")
-        plan = TimedFaultPlan(events=(
+        plan = FaultPlan(events=(
             TimedFault(time=2.0, rank=3, epoch=0),
             TimedFault(time=0.5, rank=5, epoch=1),
         ))
-        _run(config, plan, "epoch-order")
+        _run(config, plan)
         epochs = [entry[0] for entry in plan.fired_log]
         assert epochs == sorted(epochs) == [0, 1]
+
+    def test_one_plan_mixes_iteration_and_exact_time_events(self):
+        # the merged FaultPlan: an ITER_MARK event beside timed events
+        # of two incarnations; each fires exactly once, each costs one
+        # relaunch, and the iteration event (late in the loop) is only
+        # reached by the third incarnation
+        config = ExperimentConfig(app="hpccg", nprocs=8,
+                                  design="restart-fti", faults="none")
+        late = config.make_app().niters - 5
+        events = (FaultEvent(rank=1, iteration=late),
+                  TimedFault(time=2.0, rank=3, epoch=0),
+                  TimedFault(time=0.5, rank=5, epoch=1))
+        plan = FaultPlan(events=events)
+        result = _run(config, plan)
+        assert result.verified
+        assert result.relaunches == result.recovery_episodes == 3
+        assert [entry[0] for entry in plan.fired_log] == [0, 1]
+        assert plan._fired == set(events)
+        assert plan.event_for(1, late) is None  # one-shot held
+        assert result.fault_events == events

@@ -98,6 +98,21 @@ class TestProbe:
         second, _ = probe_timeline(config)
         assert first == second
 
+    def test_probe_is_execute_unit_with_a_recorder(self):
+        # one run path: a probe is the engine's execute_unit with the
+        # recorder handed in as the phase hook — same timeline, same
+        # result as a traced campaign unit of the clean config gets
+        from repro.core.engine import RunUnit, execute_unit
+
+        config = ExperimentConfig(app="hpccg", nprocs=8, design="ulfm-fti",
+                                  faults="none")
+        timeline, probed = probe_timeline(config)
+        recorder = PhaseRecorder()
+        result = execute_unit(RunUnit(config, 0), phase_hook=recorder)
+        assert PhaseTimeline.build(recorder) == timeline
+        assert result == probed
+        assert recorder.last_iteration == config.make_app().niters - 1
+
     def test_prefix_probe_exposes_recovery_phases(self):
         config = ExperimentConfig(app="hpccg", nprocs=8, design="ulfm-fti",
                                   faults="none")

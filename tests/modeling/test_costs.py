@@ -1,8 +1,13 @@
-"""Analytic cost models: registry wiring and mechanism mirroring."""
+"""Analytic cost models: registry wiring and pricing through the
+simulator's own mechanism functions (exact ``==``, never tolerances)."""
+
+import math
 
 import pytest
 
 from repro.cluster.launcher import JobLauncher
+from repro.cluster.machine import Cluster
+from repro.cluster.network import Network
 from repro.errors import ConfigurationError
 from repro.fti.config import FtiConfig
 from repro.modeling.costs import (
@@ -76,21 +81,34 @@ def test_custom_model_plugs_in():
         MODELS.unregister("pessimistic-test")
 
 
-# -- mechanism mirroring ----------------------------------------------------
+# -- pricing through the mechanism ------------------------------------------
 def test_restart_recovery_equals_launcher_redeploy(model):
-    """The model shares the launcher's phase arithmetic, constant for
-    constant — not an independently tuned number."""
-    for nprocs in (64, 128, 256, 512):
+    """The model calls the launcher; it has no phase arithmetic of its
+    own that could drift."""
+    for nprocs in (8, 64, 128, 256, 512):
         assert model.recovery_seconds("restart-fti", nprocs, 32) \
-            == pytest.approx(JobLauncher().launch_time(nprocs, 32))
+            == JobLauncher().launch_time(nprocs, 32)
 
 
 def test_reinit_recovery_equals_reinit_spec(model):
     assert model.recovery_seconds("reinit-fti", 64, 32) \
-        == pytest.approx(ReinitSpec().cost(32))
+        == ReinitSpec().cost(32)
     # scale-independent: the paper's flat Reinit curve (Fig. 7)
     assert model.recovery_seconds("reinit-fti", 512, 32) \
         == model.recovery_seconds("reinit-fti", 64, 32)
+
+
+def test_ulfm_recovery_is_the_schedulers_step_costs_composed(model):
+    """Survivor critical path = the five step costs the scheduler
+    charges (one replacement), summed in protocol order."""
+    from repro.simmpi.runtime import Runtime
+
+    ulfm = Runtime.ULFM
+    for nprocs in (8, 64, 512):
+        assert model.recovery_seconds("ulfm-fti", nprocs, 32) == (
+            ulfm.revoke_seconds(nprocs) + ulfm.shrink_seconds(nprocs)
+            + ulfm.spawn_seconds(1, nprocs) + ulfm.merge_seconds(nprocs)
+            + ulfm.agree_seconds(nprocs))
 
 
 def test_ulfm_recovery_grows_with_scale(model):
@@ -166,6 +184,47 @@ def test_ckpt_read_cheaper_than_l3_write(model):
     assert 0 < read < write
 
 
+def _live_io(level, nprocs, nnodes=32):
+    """The IoSpecs a live rank-0 ``Fti`` of such a job tops its I/O up
+    against — built from a real Cluster, not from CostParams."""
+    from repro.fti.api import Fti
+    from repro.fti.metadata import CheckpointRegistry
+    from repro.simmpi.runtime import Runtime
+
+    def entry(mpi):
+        yield
+
+    cluster = Cluster(nnodes=nnodes)
+    runtime = Runtime(cluster, nprocs, entry)
+    fti = Fti(runtime.api_for(0), cluster, CheckpointRegistry(),
+              FtiConfig(level=level))
+    return fti._io
+
+
+@pytest.mark.parametrize("nprocs", [8, 64, 512])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_ckpt_io_term_is_the_levels_nominal_path(model, level, nprocs):
+    """``ckpt_write_seconds`` = serialize + the level's nominal write
+    (as the live Fti prices it) + coordination + completion allreduce;
+    ``ckpt_read_seconds`` = deserialize + the level's nominal read."""
+    from repro.fti.api import Fti
+    from repro.fti.levels import LEVELS
+
+    nbytes = int(0.6e9)
+    cfg = FtiConfig(level=level)
+    io = _live_io(level, nprocs)
+    rpn = ranks_per_node(nprocs, 32)
+    serialize = WorkModel().seconds(bytes_moved=2.0 * nbytes,
+                                    ranks_per_node=rpn)
+    coord = Fti.COORD_ALPHA * math.log2(nprocs)
+    allreduce = Network().allreduce_time(nprocs, 8)
+    assert model.ckpt_write_seconds(cfg, nbytes, nprocs, 32) == (
+        serialize + LEVELS[level].nominal_write_seconds(io, nbytes)
+        + coord + allreduce)
+    assert model.ckpt_read_seconds(cfg, nbytes, nprocs, 32) == (
+        serialize + LEVELS[level].nominal_read_seconds(io, nbytes))
+
+
 def test_ckpt_rejects_negative_bytes(model):
     with pytest.raises(ConfigurationError):
         model.ckpt_write_seconds(FtiConfig(), -1, 64, 32)
@@ -173,20 +232,18 @@ def test_ckpt_rejects_negative_bytes(model):
 
 # -- params -----------------------------------------------------------------
 def test_cost_params_defaults_are_the_simulator_constants():
-    """CostParams must pick up the simulator's own constants, so a
-    calibration edit to the mechanism propagates into the model."""
+    """CostParams holds the simulator's own specs — one ULFM spec, not
+    seven copied floats — so a calibration edit to the mechanism
+    propagates into the model."""
     from repro.fti.api import Fti
     from repro.simmpi.runtime import Runtime
 
     p = CostParams()
-    assert p.revoke_alpha == Runtime.REVOKE_ALPHA
-    assert p.shrink_alpha == Runtime.SHRINK_ALPHA
-    assert p.shrink_per_proc == Runtime.SHRINK_PER_PROC
-    assert p.agree_alpha == Runtime.AGREE_ALPHA
-    assert p.merge_alpha == Runtime.MERGE_ALPHA
-    assert p.spawn_base == Runtime.SPAWN_BASE
-    assert p.spawn_per_proc == Runtime.SPAWN_PER_PROC
+    assert p.ulfm == Runtime.ULFM
     assert p.fti_coord_alpha == Fti.COORD_ALPHA
+    for gone in ("revoke_alpha", "spawn_per_proc", "pfs_bandwidth",
+                 "pfs_latency"):
+        assert not hasattr(p, gone)
 
 
 def test_ranks_per_node_is_ceil_division():

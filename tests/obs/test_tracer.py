@@ -10,6 +10,7 @@ import json
 import pytest
 
 from repro.api import Campaign
+from repro.apps import APP_REGISTRY
 from repro.errors import ConfigurationError
 from repro.obs.trace import Tracer, validate_trace
 
@@ -58,11 +59,15 @@ def test_phase_spans_name_the_sim_anchors():
                if e.get("cat") == "phase"}
     assert "ckpt.L1.write" in anchors           # FTI checkpoints
     assert "reinit.rollback" in anchors         # the recovery design
-    assert "iterations" in anchors              # progress pseudo-span
+    # phases are spans in virtual seconds; the iteration high-water
+    # mark is a count, so it rides the unit span as an arg instead
+    assert "iterations" not in anchors
+    niters = APP_REGISTRY["minivite"].from_input(8, "small").niters
     for event in payload["traceEvents"]:
-        if event.get("cat") != "phase":
-            continue
-        assert event["args"]["sim_end"] >= event["args"]["sim_start"]
+        if event.get("cat") == "unit" and event["ph"] == "X":
+            assert event["args"]["iterations"] == niters - 1
+        if event.get("cat") == "phase":
+            assert event["args"]["sim_end"] >= event["args"]["sim_start"]
 
 
 # -- parallel ----------------------------------------------------------------
@@ -73,8 +78,9 @@ def test_parallel_traced_campaign_validates():
     cats = events_by_cat(payload)
     units = [e for e in cats["unit"] if e["ph"] == "X"]
     assert len(units) == 3
-    # phase spans crossed the worker pipe
+    # phase spans (and the iteration count) crossed the worker pipe
     assert cats.get("phase"), "worker phases must ship through the pipe"
+    assert all(e["args"]["iterations"] > 0 for e in units)
     # two workers -> at least two distinct unit tracks were claimed
     assert len({e["tid"] for e in units}) >= 2
 

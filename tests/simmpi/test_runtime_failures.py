@@ -164,10 +164,8 @@ def test_ops_on_revoked_comm_raise_immediately():
 
 def test_one_shot_fault_does_not_refire():
     plan = FaultPlan(events=(FaultEvent(rank=0, iteration=1),))
-    assert plan.should_kill(0, 1)
-    assert not plan.should_kill(0, 1)
-    plan.reset()
-    assert plan.should_kill(0, 1)
+    assert plan.event_for(0, 1) is not None
+    assert plan.event_for(0, 1) is None
 
 
 def test_late_arriving_rank_sees_failure_in_collective():

@@ -10,7 +10,7 @@ from repro.faults import FaultEvent, FaultPlan
 def test_none_plan_never_kills():
     plan = FaultPlan.none()
     assert plan.nfaults == 0
-    assert not plan.should_kill(0, 0)
+    assert plan.event_for(0, 0) is None
 
 
 def test_event_validation():
@@ -22,60 +22,41 @@ def test_event_validation():
 
 def test_should_kill_exact_match_only():
     plan = FaultPlan(events=(FaultEvent(2, 5),))
-    assert not plan.should_kill(2, 4)
-    assert not plan.should_kill(1, 5)
-    assert plan.should_kill(2, 5)
+    assert plan.event_for(2, 4) is None
+    assert plan.event_for(1, 5) is None
+    assert plan.event_for(2, 5) is not None
 
 
 def test_one_shot_per_event():
     plan = FaultPlan(events=(FaultEvent(2, 5),))
-    assert plan.should_kill(2, 5)
-    assert not plan.should_kill(2, 5)
-
-
-def test_reset_rearms():
-    plan = FaultPlan(events=(FaultEvent(2, 5),))
-    plan.should_kill(2, 5)
-    plan.reset()
-    assert plan.should_kill(2, 5)
+    assert plan.event_for(2, 5) is not None
+    assert plan.event_for(2, 5) is None
 
 
 def test_multi_event_one_shot_firing_is_per_event():
     events = (FaultEvent(2, 5), FaultEvent(4, 5), FaultEvent(2, 9))
     plan = FaultPlan(events=events)
-    assert plan.should_kill(2, 5)
+    assert plan.event_for(2, 5) is not None
     # firing one event must not disarm the others
-    assert plan.should_kill(4, 5)
-    assert plan.should_kill(2, 9)
+    assert plan.event_for(4, 5) is not None
+    assert plan.event_for(2, 9) is not None
     # each fired exactly once
-    assert not plan.should_kill(2, 5)
-    assert not plan.should_kill(4, 5)
-    assert not plan.should_kill(2, 9)
-
-
-def test_multi_event_reset_replays_every_event():
-    events = (FaultEvent(1, 3), FaultEvent(6, 11))
-    plan = FaultPlan(events=events)
-    assert plan.should_kill(1, 3) and plan.should_kill(6, 11)
-    plan.reset()
-    for event in events:
-        assert plan.should_kill(event.rank, event.iteration)
+    assert plan.event_for(2, 5) is None
+    assert plan.event_for(4, 5) is None
+    assert plan.event_for(2, 9) is None
 
 
 def test_fired_state_excluded_from_equality():
     """A partially consumed plan equals a fresh plan with the same
-    events; reset() restores full equality of behaviour too."""
+    events."""
     events = (FaultEvent(2, 5), FaultEvent(3, 8))
     consumed = FaultPlan(events=events)
     fresh = FaultPlan(events=events)
     assert consumed == fresh
-    consumed.should_kill(2, 5)
+    consumed.event_for(2, 5)
     assert consumed == fresh          # _fired is execution state
-    assert consumed.should_kill(3, 8)
+    assert consumed.event_for(3, 8) is not None
     assert consumed == fresh
-    consumed.reset()
-    assert consumed == fresh
-    assert consumed.should_kill(2, 5)  # behaves like fresh again
     assert FaultPlan(events=events) != FaultPlan(events=events[:1])
 
 

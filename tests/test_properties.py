@@ -122,3 +122,122 @@ def test_allreduce_result_independent_of_rank_count_ordering(nprocs):
     results = runtime.run()
     expected = nprocs * (nprocs + 1) / 2
     assert all(v == pytest.approx(expected) for v in results.values())
+
+
+# -- round-trip grammars that guard run keys ----------------------------------
+_ANCHORS = st.one_of(
+    st.sampled_from(["ckpt.L1.write", "ckpt.L3.read", "ulfm.shrink",
+                     "reinit.rollback", "restart.redeploy"]),
+    st.from_regex(r"[A-Za-z][A-Za-z0-9_.\-]{0,12}", fullmatch=True))
+_OFFSETS = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0).map(lambda x: round(x, 6)))
+
+
+@st.composite
+def _anchored_faults(draw):
+    from repro.explore.schedule import AnchoredFault
+
+    victim = draw(st.sampled_from(["default", "rank", "node"]))
+    index = draw(st.integers(min_value=0, max_value=4095))
+    return AnchoredFault(
+        anchor=draw(_ANCHORS),
+        occurrence=draw(st.integers(min_value=0, max_value=999)),
+        offset=draw(_OFFSETS),
+        rank=index if victim == "rank" else None,
+        node=index if victim == "node" else None)
+
+
+@given(st.lists(_anchored_faults(), min_size=1, max_size=4))
+def test_fault_schedule_spec_round_trips(events):
+    """The spec string is what run keys and stores hold, so it must
+    decode to exactly the schedule that printed it."""
+    from repro.explore.schedule import FaultSchedule
+
+    schedule = FaultSchedule(events=tuple(events))
+    spec = schedule.to_spec()
+    assert ":" not in spec          # the scenario grammar splits on it
+    assert FaultSchedule.parse(spec) == schedule
+    assert FaultSchedule.parse(spec).to_spec() == spec
+
+
+def test_schedule_offsets_print_positionally_and_exactly():
+    """Pinned counter-examples of the property above: ``%g`` printed
+    small offsets in exponent form the atom grammar cannot parse, and
+    cut offsets past six significant digits."""
+    from repro.explore.schedule import AnchoredFault
+
+    for offset, text in [(1e-05, "+0.00001"), (12.345678, "+12.345678"),
+                         (0.1 + 0.2, "+0.30000000000000004"),
+                         (0.5, "+0.5"), (12.0, "+12"), (0.018, "+0.018")]:
+        atom = AnchoredFault("ckpt.L1.write", offset=offset).to_atom()
+        assert atom == "ckpt.L1.write" + text
+        assert AnchoredFault.parse_atom(atom).offset == offset
+
+
+_KINDS = st.sampled_from(["process", "node"])
+_RANKS = st.integers(min_value=0, max_value=4095)
+_ITER_EVENTS = st.builds(
+    lambda rank, iteration, kind: _plans().FaultEvent(rank, iteration, kind),
+    _RANKS, st.integers(min_value=0, max_value=10**6), _KINDS)
+_TIMED_EVENTS = st.builds(
+    lambda time, rank, kind, epoch: _plans().TimedFault(
+        time=time, rank=rank, kind=kind, epoch=epoch),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    _RANKS, _KINDS, st.integers(min_value=0, max_value=8))
+_EVENT_TUPLES = st.lists(st.one_of(_ITER_EVENTS, _TIMED_EVENTS),
+                         max_size=6).map(tuple)
+
+
+def _plans():
+    from repro.faults import plans
+
+    return plans
+
+
+@given(_EVENT_TUPLES)
+def test_fault_events_survive_the_store_wire_format(events):
+    """run_result_to_dict -> JSON -> run_result_from_dict is lossless
+    for both event types, and keeps their wire shapes apart: 3 elements
+    for iteration events (pre-existing store records stay
+    byte-identical), 5 for exact-time events."""
+    import json
+
+    from repro.core.breakdown import (RunResult, TimeBreakdown,
+                                      run_result_from_dict,
+                                      run_result_to_dict)
+
+    result = RunResult(config_label="p", breakdown=TimeBreakdown(1.0),
+                       verified=True, fault_events=events)
+    wire = json.loads(json.dumps(run_result_to_dict(result)))
+    for event, entry in zip(events, wire["fault_events"]):
+        timed = isinstance(event, _plans().TimedFault)
+        assert len(entry) == (5 if timed else 3)
+        assert entry[:3] == [event.rank, event.iteration, event.kind]
+    back = run_result_from_dict(wire).fault_events
+    assert back == events
+    assert [type(e) for e in back] == [type(e) for e in events]
+
+
+@given(_EVENT_TUPLES, st.data())
+def test_fault_plan_equality_ignores_execution_state(events, data):
+    """A plan is its schedule: firing, relaunching, logging and
+    observing must not make it differ from a fresh plan of the same
+    events (resume and dedupe compare plans)."""
+    FaultPlan = _plans().FaultPlan
+    used, fresh = FaultPlan(events=events), FaultPlan(events=events)
+    used.phase_hook = object()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        used.epoch = data.draw(st.integers(min_value=0, max_value=8))
+        rank = data.draw(_RANKS)
+        used.event_for(rank, data.draw(st.integers(0, 10**6)))
+        used.due_event(rank, data.draw(st.floats(min_value=0.0,
+                                                 allow_nan=False)))
+    for event in events:            # and with everything consumed
+        used.epoch = getattr(event, "epoch", used.epoch)
+        used.event_for(event.rank, event.iteration)
+        used.due_event(event.rank, float("inf"))
+    assert used._fired == set(events)
+    assert used == fresh
+    assert (used != FaultPlan(events=events + (_plans().FaultEvent(0, 0),)))
