@@ -18,10 +18,17 @@ while keeping four guarantees:
   pending unit) *and* no ``timeout``, the **in-process worker** runs the
   unit right in this interpreter — no spawn, but also no deadline to
   enforce and no crash containment. Any other input picks the **spawn
-  worker**: every attempt gets its own freshly-``spawn``-ed process, so
-  no module-level state (caches, RNG, accelerator handles) leaks
-  between runs, and a crashing, hanging or OOM-killed run cannot take
-  the campaign down with it.
+  worker**: at most ``jobs`` long-lived ``spawn``-ed processes, started
+  lazily and *leased* one attempt at a time for the lifetime of one
+  :meth:`~CampaignEngine.stream`, so interpreter boot and the numpy /
+  ``repro`` imports are paid once per slot, not once per attempt.
+  Units that share a worker share its module-level state (import
+  caches, loaded plugins, the native-kernel handle) exactly as the
+  units of an in-process sweep do; a run's result is a pure function of
+  its unit either way. A crashing, hanging or OOM-killed run still
+  cannot take the campaign down: the worker that died, blew its
+  deadline or was killed by a shutdown is *retired*, and the next lease
+  that finds no idle worker starts a replacement.
 * **Resumability** — with a :class:`~repro.core.store.ResultStore`
   attached, every completed run is flushed to disk immediately and a
   restarted sweep skips all content-keyed runs already present.
@@ -105,15 +112,20 @@ DRAIN_GRACE = 30.0
 ON_ERROR_POLICIES = ("abort", "continue", "retry")
 
 #: campaign-level instruments (metric catalog: docs/OBSERVABILITY.md).
-#: Worker processes accumulate into their own fresh registry and ship
-#: the deltas back through the result pipe (see ``_proc_worker``), so
-#: these totals are campaign-wide even under the spawn pool.
+#: Worker processes zero their own registry before each payload and
+#: ship that payload's deltas back through the result pipe (see
+#: ``_proc_worker``), so these totals are campaign-wide even under the
+#: spawn workers.
 _UNITS_TOTAL = OBS_REGISTRY.counter(
     "match_campaign_units_total",
     "Campaign units by outcome (completed/failed/skipped/retried)")
 _QUEUE_DEPTH = OBS_REGISTRY.gauge(
     "match_campaign_queue_depth",
     "Units queued or in retry backoff, waiting for a worker slot")
+_WORKER_SPAWNS = OBS_REGISTRY.counter(
+    "match_campaign_worker_spawns_total",
+    "Worker processes started (one per slot, plus one per worker "
+    "replaced after a crash, a blown deadline or a kill)")
 
 
 def parse_on_error(policy):
@@ -274,9 +286,14 @@ def _observed_execute(unit: RunUnit, trace: bool, profile_dir, attempt: int):
                     "iterations": recorder.last_iteration}
 
 
-def _proc_worker(payload: dict, conn) -> None:
-    """Top-level (spawn-picklable) worker: payload in, a status-tagged
-    message out through ``conn``.
+#: "the chaos spec has not been read yet" (``None`` means "read, unset")
+_UNREAD = object()
+
+
+def _proc_worker(conn) -> None:
+    """Top-level (spawn-picklable) worker loop: receive a payload from
+    ``conn``, run it, send one status-tagged message back; exit on
+    ``None`` or on EOF (the parent closed its end, or died).
 
     Exceptions are caught and shipped back as ``("error", record_dict)``
     — a structured, always-picklable description — never as exception
@@ -285,45 +302,60 @@ def _proc_worker(payload: dict, conn) -> None:
     without sending anything (crash, OOM kill, chaos) is detected by the
     parent through the pipe's EOF.
     """
+    # a terminal Ctrl-C signals the whole foreground process group;
+    # ignoring it here lets the parent's graceful shutdown drain this
+    # worker's (bounded) in-flight result instead of losing it
     try:
-        # a terminal Ctrl-C signals the whole foreground process group;
-        # ignoring it here lets the parent's graceful shutdown drain
-        # this worker's (bounded) in-flight result instead of losing it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+    except (ValueError, OSError):
+        pass
+    chaos = _UNREAD
+    while True:
         try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-        except (ValueError, OSError):
-            pass
-        import_plugins(payload.get("plugins", ()))
-        watchdog = payload.get("sim_watchdog")
-        if watchdog:
-            os.environ[WATCHDOG_ENV] = str(watchdog)
-        config = config_from_dict(payload["config"])
-        unit = RunUnit(config, payload["rep"])
-        chaos = _load_chaos()
-        if chaos is not None:
-            chaos.fire(unit.describe())
-        result, obs = _observed_execute(
-            unit, payload.get("trace", False), payload.get("profile_dir"),
-            payload.get("attempt", 1))
-        outcome = run_result_to_dict(result)
-        if chaos is not None:
-            outcome = chaos.corrupt(unit.describe(), outcome)
-        # this process dies after one unit (maxtasksperchild=1), so its
-        # fresh registry's snapshot *is* the per-attempt metric delta;
-        # shipping it on the result envelope is what keeps worker-side
-        # counts (checkpoint writes/reads, plugin metrics) alive past
-        # the spawn-pool boundary
-        deltas = OBS_REGISTRY.snapshot()
-        if deltas:
-            obs["metrics"] = deltas
-        conn.send(("ok", {"result": outcome, "obs": obs}))
-    except Exception as exc:
+            payload = conn.recv()
+        except (EOFError, OSError):
+            break
+        if payload is None:
+            break
         try:
-            conn.send(("error", describe_error(exc).to_dict()))
-        except (OSError, ValueError):
-            pass  # parent already gone; EOF detection covers us
-    finally:
-        conn.close()
+            if chaos is _UNREAD:
+                # once per worker; a spec that does not parse raises
+                # here again for every payload, as a unit error
+                chaos = _load_chaos()
+            conn.send(("ok", _run_payload(payload, chaos)))
+        except Exception as exc:
+            try:
+                conn.send(("error", describe_error(exc).to_dict()))
+            except (OSError, ValueError):
+                break  # parent already gone
+    conn.close()
+
+
+def _run_payload(payload: dict, chaos) -> dict:
+    """One attempt inside a worker: the ``{"result", "obs"}`` envelope."""
+    # this process outlives the unit, so "what this attempt counted" is
+    # made explicit: zero the registry, run, ship the snapshot. The
+    # parent merges it, which keeps worker-side counts (checkpoint
+    # writes/reads, plugin metrics) alive past the process boundary
+    OBS_REGISTRY.reset()
+    import_plugins(payload.get("plugins", ()))
+    watchdog = payload.get("sim_watchdog")
+    if watchdog:
+        os.environ[WATCHDOG_ENV] = str(watchdog)
+    config = config_from_dict(payload["config"])
+    unit = RunUnit(config, payload["rep"])
+    if chaos is not None:
+        chaos.fire(unit.describe())
+    result, obs = _observed_execute(
+        unit, payload.get("trace", False), payload.get("profile_dir"),
+        payload.get("attempt", 1))
+    outcome = run_result_to_dict(result)
+    if chaos is not None:
+        outcome = chaos.corrupt(unit.describe(), outcome)
+    deltas = OBS_REGISTRY.snapshot()
+    if deltas:
+        obs["metrics"] = deltas
+    return {"result": outcome, "obs": obs}
 
 
 def _split_envelope(data):
@@ -365,31 +397,55 @@ def _load_chaos():
 
 
 @dataclass
+class _Worker:
+    """One long-lived spawn worker: the process running
+    :func:`_proc_worker` and this side of its duplex pipe, which is
+    payload channel, result channel and death detector at once."""
+
+    process: object
+    conn: object
+
+    def send(self, message) -> bool:
+        """False when the other end is gone (the worker died idle)."""
+        try:
+            self.conn.send(message)
+        except OSError:
+            return False
+        return True
+
+    def retire(self, grace: float = 0.0) -> None:
+        """Close the pipe and reap the process: ``grace`` seconds to
+        exit on its own (a dead or dismissed worker), then SIGTERM,
+        then SIGKILL. A retired worker is never leased again."""
+        self.conn.close()
+        self.process.join(grace)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(2.0)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(2.0)
+
+
+@dataclass
 class _InFlight:
-    """One launched unit attempt. ``process``/``conn`` are None for the
-    in-process worker, whose ``outcome`` is already set at launch;
-    ``outcome`` is ``("ok", result, result_dict, traced_fields)`` or
+    """One launched unit attempt. ``worker`` is the leased spawn worker
+    until its reply (or death) is collected; None for the in-process
+    worker, whose ``outcome`` is already set at launch. ``outcome`` is
+    ``("ok", result, result_dict, traced_fields)`` or
     ``("error", record, live_exception_or_None)``."""
 
     unit: RunUnit
     attempt: int
-    process: object = None
-    conn: object = None
+    worker: _Worker | None = None
     deadline: float | None = None
     outcome: tuple = field(default=None)
 
     def kill(self) -> None:
-        if self.process is None:
-            return
-        try:
-            if self.process.is_alive():
-                self.process.terminate()
-                self.process.join(2.0)
-                if self.process.is_alive():
-                    self.process.kill()
-                    self.process.join(2.0)
-        finally:
-            self.conn.close()
+        """Stop a busy worker; it goes to no idle list."""
+        if self.worker is not None:
+            self.worker.retire()
+            self.worker = None
 
 
 class CampaignEngine:
@@ -646,13 +702,15 @@ class CampaignEngine:
             payload["attempt"] = attempt
         return payload
 
-    def _launch(self, ctx, unit: RunUnit, attempt: int) -> _InFlight:
+    def _launch(self, ctx, idle, unit: RunUnit, attempt: int) -> _InFlight:
         """Start one attempt on a worker.
 
         ``ctx is None`` is the in-process worker: the unit runs right
-        here and the flight comes back already settled. Otherwise a
-        fresh ``spawn`` process per attempt (the isolation contract),
-        whose pipe doubles as result channel and death detector.
+        here and the flight comes back already settled. Otherwise the
+        payload goes to a leased spawn worker: one from ``idle``, or —
+        when none is idle, so at most ``slots`` are ever alive — a
+        newly started one. A worker that died while idle is replaced
+        here, without charging the unit an attempt.
         """
         if ctx is None:
             try:
@@ -664,32 +722,43 @@ class CampaignEngine:
             except Exception as exc:
                 outcome = ("error", describe_error(exc), exc)
             return _InFlight(unit=unit, attempt=attempt, outcome=outcome)
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_proc_worker,
-                              args=(self._payload(unit, attempt), send_conn))
-        process.daemon = True
-        process.start()
-        send_conn.close()
+        payload = self._payload(unit, attempt)
+        while idle:
+            worker = idle.pop()
+            if worker.send(payload):
+                break
+            worker.retire()  # died while idle
+        else:
+            conn, child_conn = ctx.Pipe()
+            process = ctx.Process(target=_proc_worker, args=(child_conn,),
+                                  daemon=True)
+            process.start()
+            child_conn.close()
+            _WORKER_SPAWNS.inc()
+            worker = _Worker(process, conn)
+            # a worker that cannot even take its first payload shows as
+            # EOF on the pipe: _collect reports it lost
+            worker.send(payload)
         deadline = (time.monotonic() + self.timeout
                     if self.timeout is not None else None)
-        return _InFlight(unit=unit, attempt=attempt, process=process,
-                         conn=recv_conn, deadline=deadline)
+        return _InFlight(unit=unit, attempt=attempt, worker=worker,
+                         deadline=deadline)
 
     @staticmethod
-    def _collect(flight: _InFlight) -> tuple:
-        """The outcome of a flight whose pipe signalled: a result was
-        sent, or EOF from a dead worker."""
+    def _collect(flight: _InFlight, idle) -> tuple:
+        """The outcome of a flight whose pipe signalled: a reply was
+        sent — ``ok`` or ``error``, the worker goes back to ``idle`` —
+        or EOF from a dead worker, which is retired."""
+        worker, flight.worker = flight.worker, None
         try:
-            status, data = flight.conn.recv()
+            status, data = worker.conn.recv()
         except (EOFError, OSError):
-            flight.process.join(5.0)
-            code = flight.process.exitcode
+            worker.retire(grace=5.0)
             return ("error", describe_error(WorkerLostError(
                 "worker process died without a result (exit code %s) "
-                "while running %s" % (code, flight.unit.describe()))), None)
-        finally:
-            flight.conn.close()
-        flight.process.join(5.0)
+                "while running %s" % (worker.process.exitcode,
+                                      flight.unit.describe()))), None)
+        idle.append(worker)
         if status == "error":
             return ("error", ErrorRecord.from_dict(data), None)
         result_dict, obs = _split_envelope(data)
@@ -718,6 +787,7 @@ class CampaignEngine:
         """
         ctx = None if in_process else multiprocessing.get_context("spawn")
         slots = min(self.jobs, max(1, len(pending)))  # 1 when in_process
+        idle = []  # spawn workers between leases, alive for this stream
         queue = [(unit, 1) for unit in reversed(pending)]  # pop() the tail
         retry_heap = []  # (ready_at, seq, unit, attempt)
         seq = itertools.count()
@@ -755,7 +825,8 @@ class CampaignEngine:
                             # _launch until the unit is done)
                             yield UnitStarted(unit=unit, completed=completed,
                                               total=total)
-                        in_flight.append(self._launch(ctx, unit, attempt))
+                        in_flight.append(
+                            self._launch(ctx, idle, unit, attempt))
                     if not in_flight:
                         # only backoff waits remain: sleep until the next
                         # retry matures (in ticks, to notice signals)
@@ -768,11 +839,11 @@ class CampaignEngine:
                                 wait = min(wait,
                                            max(flight.deadline - now, 0.0))
                         ready = mp_connection.wait(
-                            [f.conn for f in in_flight], timeout=wait)
+                            [f.worker.conn for f in in_flight], timeout=wait)
                         now = time.monotonic()
                         for flight in in_flight:
-                            if flight.conn in ready:
-                                flight.outcome = self._collect(flight)
+                            if flight.worker.conn in ready:
+                                flight.outcome = self._collect(flight, idle)
                             elif flight.deadline is not None \
                                     and now >= flight.deadline:
                                 flight.outcome = self._expire(flight)
@@ -816,9 +887,15 @@ class CampaignEngine:
                         break
                     self._record_failure(unit, record)
         finally:
+            # however the stream ends — exhausted, aborted, interrupted
+            # or closed early by its consumer — no child outlives it
             _QUEUE_DEPTH.set(0)
             for flight in in_flight:
                 flight.kill()
+            for worker in idle:
+                worker.send(None)  # all told first: they exit together
+            for worker in idle:
+                worker.retire(grace=5.0)
         if interrupted:
             yield CampaignAborted(
                 completed=completed, total=total,

@@ -9,12 +9,12 @@ instruments here. Design constraints, in order:
   the perf gate's ``events_overhead_pct`` series holds the enabled
   path to <=1% on campaign throughput, so the hot-path cost must stay
   one dict update behind one lock.
-* **Mergeable snapshots.** Worker processes (spawn pool,
-  ``maxtasksperchild=1``) accumulate into their own fresh registry;
-  the engine ships :meth:`MetricsRegistry.snapshot` dicts back through
-  the result pipe and folds them in with
-  :meth:`MetricsRegistry.merge` — counters and histogram buckets add,
-  gauges take the incoming value.
+* **Mergeable snapshots.** The campaign engine's long-lived spawn
+  workers accumulate into their own registry, which they
+  :meth:`MetricsRegistry.reset` before each unit; the engine ships
+  that unit's :meth:`MetricsRegistry.snapshot` dict back through the
+  result pipe and folds it in with :meth:`MetricsRegistry.merge` —
+  counters and histogram buckets add, gauges take the incoming value.
 * **Deterministic output.** Snapshots order samples by sorted label
   key so two scrapes of the same state are byte-identical after
   :func:`repro.obs.prom.render_prometheus`.

@@ -401,13 +401,14 @@ def test_timeout_kills_hung_worker_and_retry_succeeds(tmp_path,
 def test_parallel_sigterm_drains_and_aborts(tmp_path):
     """SIGTERM mid-campaign: the dispatch loop drains in-flight results
     into the store, emits CampaignAborted, and exits via
-    KeyboardInterrupt; a resume completes the sweep bit-identically."""
-    import multiprocessing
+    KeyboardInterrupt with no worker left behind; a resume completes
+    the sweep bit-identically."""
     import sys
 
     script = tmp_path / "drive.py"
     store = tmp_path / "sweep.jsonl"
     script.write_text(
+        "import multiprocessing\n"
         "import sys\n"
         "from repro.core.configs import ExperimentConfig\n"
         "from repro.core.engine import CampaignEngine, campaign_units\n"
@@ -429,6 +430,8 @@ def test_parallel_sigterm_drains_and_aborts(tmp_path):
         "                aborted = True\n"
         "                print('ABORTED', event.reason, flush=True)\n"
         "    except KeyboardInterrupt:\n"
+        "        print('CHILDREN', len(multiprocessing.active_children()),\n"
+        "              flush=True)\n"
         "        sys.exit(42 if aborted else 3)\n"
         "    sys.exit(0)\n"
         "\n"
@@ -449,6 +452,8 @@ def test_parallel_sigterm_drains_and_aborts(tmp_path):
     out, _ = proc.communicate(timeout=120)
     assert proc.returncode == 42, out
     assert "ABORTED SIGTERM" in out
+    # the drain hands its workers back and the stream's exit reaps them
+    assert "CHILDREN 0" in out
     completed = ResultStore(store).load_completed()
     assert completed  # drained results were flushed before exiting
 
@@ -501,3 +506,171 @@ def test_drain_emits_unit_failed_for_errors_landing_after_the_signal(
     assert {e.record.type for e in failed} == {
         "repro.core.chaos.ChaosError", "repro.errors.CorruptResultError"}
     assert all(e.attempt == 1 for e in failed)
+
+
+# -- leased long-lived workers ----------------------------------------------
+def worker_spawns():
+    from repro.obs.metrics import REGISTRY
+
+    return REGISTRY.counter("match_campaign_worker_spawns_total").value()
+
+
+def set_chaos(monkeypatch, tmp_path, *rules):
+    monkeypatch.setenv("MATCH_CHAOS", json.dumps({
+        "dir": str(tmp_path / "chaos"), "rules": list(rules)}))
+
+
+def test_lost_and_expired_workers_are_retired_and_replaced(tmp_path,
+                                                           monkeypatch):
+    """A worker that crashes and one that blows its deadline are each
+    retired; a later lease that finds no idle worker starts one
+    replacement, never more than one per lost worker, and survivors and
+    retried units alike equal the serial run."""
+    set_chaos(monkeypatch, tmp_path,
+              {"mode": "crash", "match": "*#rep1", "times": 1},
+              {"mode": "hang", "match": "*#rep4", "times": 1,
+               "hang_seconds": 120})
+    units = campaign_units([mini_config(app="minivite")], runs=6)
+    before = worker_spawns()
+    engine = CampaignEngine(jobs=2, on_error="retry:1", timeout=5.0,
+                            backoff_base=0.01)
+    events = list(engine.stream(units))
+    spawns = worker_spawns() - before
+    retried = {e.unit.rep: e.error.type for e in events
+               if isinstance(e, UnitRetrying)}
+    assert retried == {1: "repro.errors.WorkerLostError",
+                       4: "repro.errors.UnitTimeoutError"}
+    assert engine.failed == 0
+    assert 2 < spawns <= 2 + 2
+    monkeypatch.delenv("MATCH_CHAOS")
+    assert events[-1].results == CampaignEngine().run(units)
+
+
+def test_error_replies_do_not_cost_a_worker(tmp_path, monkeypatch):
+    """A worker that *replied* — with an error record, an unpicklable
+    exception's record, or a payload that will not decode — is healthy:
+    it goes back on lease, and the units it runs next are unharmed."""
+    set_chaos(monkeypatch, tmp_path,
+              {"mode": "error", "match": "*#rep0", "times": -1},
+              {"mode": "unpicklable", "match": "*#rep1", "times": -1},
+              {"mode": "corrupt", "match": "*#rep2", "times": -1})
+    units = campaign_units([mini_config(app="minivite")], runs=6)
+    before = worker_spawns()
+    engine = CampaignEngine(jobs=2, on_error="continue")
+    results = engine.run(units)
+    assert worker_spawns() - before == 2
+    assert {engine.failures[u.key].type for u in units[:3]} == {
+        "repro.core.chaos.ChaosError",
+        "repro.core.chaos.StubbornChaosError",
+        "repro.errors.CorruptResultError"}
+    monkeypatch.delenv("MATCH_CHAOS")
+    assert results == CampaignEngine().run(units[3:])
+
+
+def test_worker_found_dead_while_idle_costs_no_attempt():
+    """The consumer is suspended on the first UnitCompleted while the
+    one worker sits idle; killing it there must show up as a replaced
+    worker, not as a failed or retried attempt of the next unit."""
+    import multiprocessing
+
+    units = campaign_units([mini_config(app="minivite")], runs=2)
+    before = worker_spawns()
+    engine = CampaignEngine(jobs=1, timeout=60, retries=1,
+                            backoff_base=0.01)
+    events = []
+    for event in engine.stream(units):
+        events.append(event)
+        if isinstance(event, UnitCompleted) and event.completed == 1:
+            children = multiprocessing.active_children()
+            assert len(children) == 1
+            for child in children:
+                child.terminate()
+                child.join(10)
+                assert not child.is_alive()
+    assert not [e for e in events
+                if isinstance(e, (UnitRetrying, UnitFailed))]
+    assert events[-1].results == CampaignEngine().run(units)
+    assert worker_spawns() - before == 2
+
+
+@pytest.mark.parametrize("ending", ["exhausted", "aborted", "closed"])
+def test_no_worker_outlives_its_stream(ending, tmp_path, monkeypatch):
+    import multiprocessing
+
+    from repro.core.chaos import ChaosError
+
+    units = campaign_units([mini_config(app="minivite")], runs=4)
+    engine = CampaignEngine(jobs=2)
+    if ending == "exhausted":
+        assert len(engine.run(units)) == 4
+    elif ending == "aborted":
+        set_chaos(monkeypatch, tmp_path,
+                  {"mode": "error", "match": "*#rep1", "times": -1})
+        with pytest.raises(ChaosError):
+            engine.run(units)
+    else:
+        stream = engine.stream(units)
+        for event in stream:
+            if isinstance(event, UnitCompleted):
+                break
+        assert multiprocessing.active_children()
+        stream.close()
+    assert multiprocessing.active_children() == []
+
+
+def test_sigkilled_parent_leaves_no_worker_behind(tmp_path):
+    """No atexit handler runs in a SIGKILLed driver; its workers must
+    notice the closed pipe (EOF on recv, EPIPE on send) and exit."""
+    import subprocess
+    import sys
+    import time as _time
+
+    if not os.path.exists("/proc/self/stat"):
+        pytest.skip("needs /proc to watch orphaned processes")
+    script = tmp_path / "drive.py"
+    script.write_text(
+        "import multiprocessing\n"
+        "from repro.core.configs import ExperimentConfig\n"
+        "from repro.core.engine import CampaignEngine, campaign_units\n"
+        "from repro.core.events import UnitCompleted\n"
+        "\n"
+        "\n"
+        "def main():\n"
+        "    config = ExperimentConfig(app='minivite', design='reinit-fti',\n"
+        "                              nprocs=8, nnodes=4,\n"
+        "                              inject_fault=True)\n"
+        "    units = campaign_units([config], runs=200)\n"
+        "    announced = False\n"
+        "    for event in CampaignEngine(jobs=2).stream(units):\n"
+        "        if isinstance(event, UnitCompleted) and not announced:\n"
+        "            announced = True\n"
+        "            print('WORKERS', *[child.pid for child in\n"
+        "                  multiprocessing.active_children()], flush=True)\n"
+        "\n"
+        "\n"
+        "if __name__ == '__main__':\n"
+        "    main()\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    with subprocess.Popen([sys.executable, str(script)],
+                          stdout=subprocess.PIPE, text=True,
+                          env=env) as proc:
+        try:
+            line = proc.stdout.readline().split()
+            assert line[0] == "WORKERS" and len(line) == 3, line
+            pids = [int(pid) for pid in line[1:]]
+        finally:
+            proc.kill()
+
+    def running(pid):
+        # an orphan nobody reaps stays as a zombie: exited all the same
+        try:
+            with open("/proc/%d/stat" % pid) as handle:
+                return handle.read().rpartition(")")[2].split()[0] != "Z"
+        except OSError:
+            return False
+
+    deadline = _time.monotonic() + 5.0
+    while any(running(pid) for pid in pids) and _time.monotonic() < deadline:
+        _time.sleep(0.05)
+    assert not [pid for pid in pids if running(pid)]

@@ -1,9 +1,10 @@
-"""Satellite contract: worker metric deltas survive the spawn pool.
+"""Satellite contract: worker metric deltas survive the spawn workers.
 
-Workers run with ``maxtasksperchild=1`` in fresh spawn processes, so
-their registry state dies with them — unless the engine ships each
-attempt's snapshot back through the result pipe and folds it into the
-parent registry. These tests pin exact counts across that boundary.
+A spawn worker is a long-lived process that runs many units, so its
+registry would accumulate across them — unless the worker zeroes it
+before each payload and the engine folds that payload's snapshot,
+shipped back through the result pipe, into the parent registry. These
+tests pin exact counts across that boundary.
 """
 
 from repro.api import Campaign
@@ -20,26 +21,43 @@ def units_completed():
     return counter.value(outcome="completed")
 
 
-def run(jobs, reps=2):
-    session = (Campaign().apps("minivite").designs("reinit-fti")
-               .nprocs(8).nnodes(4).reps(reps).jobs(jobs).run())
+def worker_spawns():
+    return REGISTRY.counter("match_campaign_worker_spawns_total").value()
+
+
+def run(jobs, reps=2, store=None):
+    campaign = (Campaign().apps("minivite").designs("reinit-fti")
+                .nprocs(8).nnodes(4).reps(reps).jobs(jobs))
+    if store is not None:
+        campaign = campaign.store(str(store))
+    session = campaign.run()
     assert session.failed == 0
     return session
 
 
-def test_serial_and_parallel_account_identically():
-    # the same sweep must land the same checkpoint count in the parent
-    # registry whether it ran in-process or through the spawn pool
-    before = fti_writes()
-    run(jobs=1, reps=2)
-    serial_delta = fti_writes() - before
+def test_serial_and_parallel_account_identically(tmp_path):
+    # the same sweep must land the same counts in the parent registry
+    # and the same records in the store whether it ran in-process or on
+    # two reused workers; six units on two workers means each worker
+    # runs several, so a worker shipping cumulative snapshots (instead
+    # of per-payload deltas) would over-count
+    def deltas(jobs, store):
+        before = fti_writes(), units_completed(), worker_spawns()
+        run(jobs=jobs, reps=6, store=store)
+        after = fti_writes(), units_completed(), worker_spawns()
+        return tuple(b - a for a, b in zip(before, after))
 
-    before = fti_writes()
-    run(jobs=2, reps=2)
-    parallel_delta = fti_writes() - before
+    serial = deltas(1, tmp_path / "serial.jsonl")
+    parallel = deltas(2, tmp_path / "parallel.jsonl")
 
-    assert serial_delta > 0
-    assert parallel_delta == serial_delta
+    assert serial[0] > 0
+    assert serial[1] == 6
+    assert serial[2] == 0  # the in-process worker starts no process
+    # one process per slot, not one per unit
+    assert parallel == (serial[0], 6, 2)
+    # parallel units complete (and append) out of order
+    assert (sorted((tmp_path / "parallel.jsonl").read_bytes().splitlines())
+            == sorted((tmp_path / "serial.jsonl").read_bytes().splitlines()))
 
 
 def test_parallel_unit_outcomes_counted_once_each():
