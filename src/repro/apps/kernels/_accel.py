@@ -1,34 +1,31 @@
-"""Optional native (C) stencil kernels, bit-identical to the numpy path.
+"""Native (C) stencil kernels, bit-identical to the numpy path.
 
 The capped proxy-app grids are tiny (~10^3 cells), so the numpy stencil
 implementations are dominated by per-call dispatch overhead — at 512
 simulated ranks the 27-point stencil alone is a quarter of wall-clock.
-This module compiles a small shared library with the system C compiler
-at first use and drives it through :mod:`ctypes`, falling back silently
-to numpy when no compiler is available (nothing is ever installed).
+This module holds the stencils' C source and their call; compiling and
+loading is :mod:`repro.native`'s job (one shared object for every
+native kernel in the tree, silent numpy fallback, ``REPRO_NO_NATIVE=1``
+to force it).
 
 **Determinism contract.** The C kernels perform the *exact same
 per-element floating-point operation sequence* as the numpy reference
 (subtractions applied shift-by-shift in the same order) and are compiled
 with ``-ffp-contract=off`` so no fused-multiply-add can change rounding.
-``tests/apps/test_kernels_stencil.py`` asserts bit-identical outputs
+``tests/apps/test_native_kernels.py`` asserts bit-identical outputs
 against the pure-numpy reference; simulated makespans do not depend on
 which path runs.
-
-Set ``REPRO_NO_NATIVE=1`` to force the numpy path.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
-import os
-import subprocess
-import tempfile
 
 import numpy as np
 
-_SOURCE = r"""
+from ...native import native_kernels
+
+NATIVE_SOURCE = r"""
 #include <stddef.h>
 #include <string.h>
 
@@ -119,60 +116,11 @@ void apply_7pt(const double *restrict u, double *restrict out,
 }
 """
 
-_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off"]
+_STENCIL_ARGS = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 3
+NATIVE_SIGNATURES = {"apply_27pt": _STENCIL_ARGS, "apply_7pt": _STENCIL_ARGS}
 
-_lib = None
-_lib_tried = False
 #: (nx, ny, nz) -> (pad, opad) float64 workspaces; pad borders stay zero
 _workspaces: dict = {}
-
-
-def _build_library():
-    """Compile the kernel source into a cached shared object; None on
-    any failure (no compiler, read-only filesystem, ...)."""
-    tag = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    uid = getattr(os, "getuid", lambda: 0)()
-    cache_dir = os.path.join(tempfile.gettempdir(),
-                             "repro-match-native-%d" % uid)
-    so_path = os.path.join(cache_dir, "kernels-%s.so" % tag)
-    if not os.path.exists(so_path):
-        try:
-            os.makedirs(cache_dir, exist_ok=True)
-            src_path = os.path.join(cache_dir, "kernels-%s.c" % tag)
-            with open(src_path, "w") as fh:
-                fh.write(_SOURCE)
-            for compiler in ("cc", "gcc", "clang"):
-                proc = subprocess.run(
-                    [compiler] + _CFLAGS + ["-o", so_path + ".tmp", src_path],
-                    capture_output=True)
-                if proc.returncode == 0:
-                    os.replace(so_path + ".tmp", so_path)
-                    break
-            else:
-                return None
-        except OSError:
-            return None
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        return None
-    for name in ("apply_27pt", "apply_7pt"):
-        fn = getattr(lib, name)
-        fn.argtypes = [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 3
-        fn.restype = None
-    return lib
-
-
-def native_kernels():
-    """The loaded ctypes library, or None when unavailable/disabled."""
-    global _lib, _lib_tried
-    if not _lib_tried:
-        _lib_tried = True
-        if os.environ.get("REPRO_NO_NATIVE"):
-            _lib = None
-        else:
-            _lib = _build_library()
-    return _lib
 
 
 def _usable(u: np.ndarray) -> bool:

@@ -56,6 +56,24 @@ class FtiStats:
     bytes_read: int = 0
 
 
+def group_members(rank: int, nprocs: int, group_size: int) -> range:
+    """The ranks of ``rank``'s L3 encoding group — a pure function of
+    its arguments, so every rank names the same groups.
+
+    Ranks split into contiguous runs of ``group_size``, the last one
+    shorter when ``nprocs`` is no multiple. A last run of one rank
+    cannot encode alone: it joins the run before it, making one group
+    of ``group_size + 1``.
+    """
+    start = rank // group_size * group_size
+    if 0 < start == nprocs - 1:  # this rank is that lone tail
+        start -= group_size
+    end = start + group_size
+    if end >= nprocs - 1:  # the last group: clipped, or taking the tail in
+        end = nprocs
+    return range(start, end)
+
+
 class Fti:
     """One rank's FTI instance."""
 
@@ -89,14 +107,10 @@ class Fti:
             group_size=self.group_comm.size)
 
     def _build_group_comm(self) -> Communicator:
-        """Contiguous encoding groups of ``group_size`` ranks (L3)."""
-        size = self.config.group_size
-        start = (self.rank // size) * size
-        members = [r for r in range(start, min(start + size, self.nprocs))]
-        if len(members) < 2:  # tail group too small to encode: fold back
-            members = list(range(max(0, self.nprocs - size), self.nprocs))
-            start = members[0]
-        return self.mpi.cached_comm(members, "fti.group%d" % start)
+        members = group_members(self.rank, self.nprocs,
+                                self.config.group_size)
+        return self.mpi.cached_comm(list(members),
+                                    "fti.group%d" % members[0])
 
     # -- lifecycle -----------------------------------------------------------
     def init(self):

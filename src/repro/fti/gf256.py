@@ -2,17 +2,51 @@
 
 Field elements are bytes; addition is XOR; multiplication uses exp/log
 tables over the primitive polynomial x^8 + x^4 + x^3 + x^2 + 1 (0x11D),
-the standard choice for storage RS codes. The bulk paths are fully
-table-driven numpy: a precomputed 256x256 product table turns matrix
-kernels into fancy-indexing plus XOR reductions with no Python-level
-inner loops, which keeps encoding of megabyte checkpoints fast.
+the standard choice for storage RS codes. The bulk paths are table-
+driven: a precomputed 256x256 product table turns a matrix product into
+one table row per coefficient, looked up through a shard and XORed into
+the output row. :func:`gf_mat_vec` runs that loop in C when the native
+library (:mod:`repro.native`) loaded and in numpy otherwise — integer
+lookups and XOR either way, so the bytes are the same by construction.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..native import native_kernels
+
+NATIVE_SOURCE = r"""
+#include <stddef.h>
+#include <string.h>
+
+/* out (r x n) = mat (r x k) * shards (k x n) over GF(256); mul is the
+   256 x 256 product table, so one coefficient is one 256-byte row. */
+void gf_mat_vec(const unsigned char *restrict mul,
+                const unsigned char *restrict mat,
+                const unsigned char *restrict shards,
+                unsigned char *restrict out,
+                ptrdiff_t r, ptrdiff_t k, ptrdiff_t n)
+{
+    ptrdiff_t i, j, t;
+    memset(out, 0, r * n);
+    for (i = 0; i < r; i++) {
+        unsigned char *o = out + i * n;
+        for (j = 0; j < k; j++) {
+            const unsigned char *row = mul + 256 * (ptrdiff_t)mat[i * k + j];
+            const unsigned char *s = shards + j * n;
+            for (t = 0; t < n; t++)
+                o[t] ^= row[s[t]];
+        }
+    }
+}
+"""
+
+NATIVE_SIGNATURES = {
+    "gf_mat_vec": [ctypes.c_void_p] * 4 + [ctypes.c_ssize_t] * 3}
 
 _PRIMITIVE_POLY = 0x11D
 FIELD_SIZE = 256
@@ -33,10 +67,6 @@ _EXP[255:510] = _EXP[:255]  # wraparound so exp lookups never need a modulo
 _MUL_TABLE = _EXP[_LOG[:, None] + _LOG[None, :]].astype(np.uint8)
 _MUL_TABLE[0, :] = 0
 _MUL_TABLE[:, 0] = 0
-
-#: element cap per (rows x k x cols) lookup block in gf_mat_vec; bounds
-#: transient memory to ~16 MiB while keeping full vectorisation
-_MAT_VEC_CHUNK = 1 << 24
 
 
 def gf_add(a: int, b: int) -> int:
@@ -81,9 +111,7 @@ def gf_mat_vec(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
     """GF(256) matrix (r x k) times shard block (k x n) -> (r x n).
 
     ``shards`` rows are uint8 vectors; the result row ``i`` is
-    ``sum_j matrix[i, j] * shards[j]`` with field arithmetic. The whole
-    product is one table gather plus an XOR reduction, processed in
-    column chunks so transient memory stays bounded.
+    ``sum_j matrix[i, j] * shards[j]`` with field arithmetic.
     """
     r, k = matrix.shape
     if shards.shape[0] != k:
@@ -92,12 +120,21 @@ def gf_mat_vec(matrix: np.ndarray, shards: np.ndarray) -> np.ndarray:
             % (matrix.shape, shards.shape))
     n = shards.shape[1]
     mat = np.ascontiguousarray(matrix, dtype=np.uint8)
-    out = np.empty((r, n), dtype=np.uint8)
-    step = max(1, _MAT_VEC_CHUNK // max(1, r * k))
-    for start in range(0, n, step):
-        chunk = shards[:, start:start + step]
-        prods = _MUL_TABLE[mat[:, :, None], chunk[None, :, :]]
-        np.bitwise_xor.reduce(prods, axis=1, out=out[:, start:start + step])
+    block = np.ascontiguousarray(shards, dtype=np.uint8)
+    lib = native_kernels()
+    if lib is not None:
+        out = np.empty((r, n), dtype=np.uint8)
+        lib.gf_mat_vec(_MUL_TABLE.ctypes.data, mat.ctypes.data,
+                       block.ctypes.data, out.ctypes.data, r, k, n)
+        return out
+    out = np.zeros((r, n), dtype=np.uint8)
+    product = np.empty(n, dtype=np.uint8)
+    for out_row, coefficients in zip(out, mat):
+        for coefficient, shard in zip(coefficients, block):
+            # uint8 indexes cannot leave a 256-entry row: "wrap" only
+            # spares take() the bounce buffer of its checking mode
+            np.take(_MUL_TABLE[coefficient], shard, out=product, mode="wrap")
+            np.bitwise_xor(out_row, product, out=out_row)
     return out
 
 

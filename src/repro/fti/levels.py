@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .config import MEMCPY_BANDWIDTH_SHARE, FtiConfig
 from .metadata import CheckpointRegistry, RankEntry
-from .rs_encoding import pad_to_equal_length, rs_code
+from .rs_encoding import _padded_block, rs_code
 from ..cluster.network import Network
 from ..cluster.node import NodeSpec
 from ..errors import (
@@ -202,19 +202,20 @@ class L3ReedSolomon(L1Local):
         k = len(group_ranks)
         blobs = yield from mpi.allgather(blob, comm=group_comm,
                                          nbytes=len(blob))
-        padded, _lengths = pad_to_equal_length(blobs)
-        # encode cost: touching k shards twice per parity row, vectorised
-        yield from mpi.compute(bytes_moved=2.0 * k * len(padded[0]))
-        code = rs_code(k, k)
-        parity = code.encode(padded)
+        padded = _padded_block(blobs)
+        padded_len = padded.shape[1]
+        # encode cost: touching k shards twice per parity row, vectorised;
+        # a rank computes one row, its own parity shard
+        yield from mpi.compute(bytes_moved=2.0 * k * padded_len)
         my_index = group_comm.rank_of(mpi.rank)
+        parity, = rs_code(k, k).member(my_index).encode(padded)
         store = _local_store(fti)
         parity_path = entry.path + ".rs"
-        yield from mpi.store_write(store, parity_path, parity[my_index])
+        yield from mpi.store_write(store, parity_path, parity)
         entry.parity_path = parity_path
         entry.group_index = my_index
         entry.group_ranks = tuple(group_ranks)
-        entry.padded_len = len(padded[0])
+        entry.padded_len = padded_len
         return entry
 
     def read(self, fti, mpi, record):
@@ -235,9 +236,9 @@ class L3ReedSolomon(L1Local):
             store = store.ssd if fti.config.use_ssd else store.ramfs
             if store.exists(member_entry.path):
                 raw, _ = store.read(member_entry.path)
-                padded, _ = pad_to_equal_length([raw])
-                shard = padded[0][:entry.padded_len]
-                shard += b"\x00" * (entry.padded_len - len(shard))
+                # the row write's _padded_block made of this blob
+                shard = (raw + b"\x80")[:entry.padded_len].ljust(
+                    entry.padded_len, b"\x00")
                 shards[idx] = shard
                 bytes_pulled += len(shard)
             if (member_entry.parity_path
@@ -255,9 +256,8 @@ class L3ReedSolomon(L1Local):
                                                 intra_node=False)
         yield from mpi.sleep(transfer)
         yield from mpi.compute(bytes_moved=2.0 * k * entry.padded_len)
-        code = rs_code(k, k)
-        data = code.decode(shards, entry.padded_len)
-        mine = data[entry.group_index]
+        mine, = rs_code(k, k).member(entry.group_index).decode(
+            shards, entry.padded_len)
         blob = _strip_pad(mine)
         _verify(blob, entry)
         return blob
@@ -344,12 +344,10 @@ def _verify(blob: bytes, entry) -> None:
 
 def _strip_pad(padded: bytes) -> bytes:
     """Undo :func:`pad_to_equal_length`: drop trailing zeros and the 0x80."""
-    end = len(padded) - 1
-    while end >= 0 and padded[end] == 0:
-        end -= 1
-    if end < 0 or padded[end] != 0x80:
+    stripped = padded.rstrip(b"\x00")
+    if not stripped.endswith(b"\x80"):
         raise CorruptCheckpointError("RS-decoded blob has a corrupt pad")
-    return padded[:end]
+    return stripped[:-1]
 
 
 LEVELS = {1: L1Local, 2: L2Partner, 3: L3ReedSolomon, 4: L4Pfs}

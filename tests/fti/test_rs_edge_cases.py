@@ -68,6 +68,8 @@ def test_code_object_is_cached_per_geometry():
 def test_decode_matrix_cache_reused_for_same_loss_pattern():
     k = 5
     code, padded, parity = _group(k)
+    # rs_code(k, k) is process-wide: drop what earlier L3 runs decoded
+    code._decode_cache.clear()
     shards = {k + i: parity[i] for i in range(k)}
     code.decode(shards, len(padded[0]))
     cache = code._decode_cache
