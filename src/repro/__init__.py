@@ -40,7 +40,7 @@ subpackages (``repro.simmpi``, ``repro.fti``, ...) can be imported without
 pulling in the whole application stack.
 """
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 _LAZY = {
     "Campaign": ("repro.api", "Campaign"),

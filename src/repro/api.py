@@ -648,9 +648,11 @@ class Session:
                 % config.label())
         if config.faults.injects:
             config = config.with_faults("none")
-        return explore_search(config, strategy=strategy, budget=budget,
-                              seed=seed, store=self.engine.store,
-                              progress=progress)
+        # the search's runs take the engine's sim_watchdog, as units do
+        with self.engine._watchdog_env():
+            return explore_search(config, strategy=strategy, budget=budget,
+                                  seed=seed, store=self.engine.store,
+                                  progress=progress)
 
     def campaigns(self) -> dict:
         """``{label: CampaignResult}`` in matrix order: runs in

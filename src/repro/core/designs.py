@@ -23,12 +23,12 @@ from ..fti.api import Fti, FtiStats
 from ..fti.metadata import CheckpointRegistry
 from ..recovery import (
     RECOVERY_TRIGGERS,
+    RecoveryStrategy,
     ReinitRecovery,
     RestartRecovery,
     UlfmRecovery,
 )
 from ..registry import Registry
-from ..simmpi.errhandler import ErrHandler
 from ..simmpi.runtime import Runtime
 
 #: safety valve against pathological restart loops
@@ -44,7 +44,8 @@ def _check_design(name, cls):
 
 #: the ``design`` registry: name -> DesignBase subclass. A custom
 #: recovery design registers itself the same way the built-ins do:
-#: ``@DESIGNS.register("my-design")`` on a class taking a Cluster.
+#: ``@DESIGNS.register("my-design")`` on a DesignBase subclass giving
+#: ``name`` and ``make_recovery``.
 DESIGNS = Registry("design", validate=_check_design)
 
 
@@ -70,21 +71,35 @@ def _resilient_body(mpi, app: ProxyApp, fti: Fti):
 
 
 class DesignBase:
-    """Shared run bookkeeping for the three designs."""
+    """FTI plus one recovery strategy: the skeleton every design shares.
+
+    A design supplies ``name`` and :meth:`make_recovery`; :meth:`run_job`
+    builds every Runtime from the strategy's hooks (see
+    :class:`~repro.recovery.base.RecoveryStrategy`)."""
 
     name = "base"
 
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
+        self.recovery = self.make_recovery(cluster)
 
     # -- hooks --------------------------------------------------------------
-    def build_runtime(self, app, registry, fti_config, fault_plan,
-                      fti_stats) -> Runtime:
+    def make_recovery(self, cluster: Cluster) -> RecoveryStrategy:
         raise NotImplementedError
 
-    def recovery_seconds_per_episode(self) -> list:
-        """Per-episode recovery durations recorded during the last run."""
-        raise NotImplementedError
+    def entry(self, app, registry, fti_config, fti_stats):
+        """The per-rank main: FTI around the shared body, then verify.
+        FTI_Init/Finalize live inside it, so a restarted rank re-enters
+        them (§IV-B)."""
+        cluster = self.cluster
+
+        def entry(mpi):
+            fti = Fti(mpi, cluster, registry, fti_config,
+                      stats=fti_stats[mpi.rank])
+            state = yield from _resilient_body(mpi, app, fti)
+            return {"verified": app.verify(state), "rank": mpi.rank}
+
+        return entry
 
     # -- driver -----------------------------------------------------------------
     def run_job(self, app: ProxyApp, fti_config, fault_plan: FaultPlan,
@@ -92,6 +107,8 @@ class DesignBase:
         """Execute the job to completion, surviving injected failures."""
         registry = CheckpointRegistry()
         fti_stats = [FtiStats() for _ in range(app.nprocs)]
+        recovery = self.recovery
+        entry = self.entry(app, registry, fti_config, fti_stats)
         total = 0.0
         relaunches = 0
         results = None
@@ -101,17 +118,20 @@ class DesignBase:
             fault_plan.epoch = relaunches
             if hook is not None:
                 hook.epoch(relaunches)
-            runtime = self.build_runtime(app, registry, fti_config,
-                                         fault_plan, fti_stats)
+            runtime = Runtime(self.cluster, app.nprocs, entry,
+                              fault_plan=fault_plan,
+                              errhandler=recovery.errhandler,
+                              overhead=recovery.overhead)
+            recovery.install(runtime)
             try:
                 results = runtime.run()
                 total += runtime.makespan()
                 break
             except JobAbortedError:
-                if not isinstance(self, RestartFti):
+                redeploy = recovery.on_abort(app.nprocs)
+                if redeploy is None:
                     raise
                 total += runtime.abort_time
-                redeploy = self.restart.on_abort(app.nprocs)
                 if hook is not None:
                     hook.span(-1, "restart.redeploy", total, total + redeploy)
                 total += redeploy
@@ -120,7 +140,7 @@ class DesignBase:
                     raise ConfigurationError(
                         "job for %s keeps dying after %d relaunches"
                         % (label, relaunches))
-        episodes = self.recovery_seconds_per_episode()
+        episodes = recovery.take_episodes()
         ckpt_write = sum(s.ckpt_seconds for s in fti_stats) / len(fti_stats)
         ckpt_read = sum(s.recover_seconds for s in fti_stats) / len(fti_stats)
         breakdown = TimeBreakdown(
@@ -149,27 +169,8 @@ class RestartFti(DesignBase):
 
     name = "restart-fti"
 
-    def __init__(self, cluster: Cluster):
-        super().__init__(cluster)
-        self.restart = RestartRecovery(cluster)
-
-    def build_runtime(self, app, registry, fti_config, fault_plan,
-                      fti_stats) -> Runtime:
-        cluster = self.cluster
-
-        def entry(mpi):
-            fti = Fti(mpi, cluster, registry, fti_config,
-                      stats=fti_stats[mpi.rank])
-            state = yield from _resilient_body(mpi, app, fti)
-            return {"verified": app.verify(state), "rank": mpi.rank}
-
-        return Runtime(cluster, app.nprocs, entry, fault_plan=fault_plan,
-                       errhandler=ErrHandler.FATAL)
-
-    def recovery_seconds_per_episode(self) -> list:
-        episodes = list(self.restart.stats.durations)
-        self.restart.reset_stats()
-        return episodes
+    def make_recovery(self, cluster: Cluster) -> RecoveryStrategy:
+        return RestartRecovery(cluster)
 
 
 @DESIGNS.register("reinit-fti")
@@ -178,30 +179,8 @@ class ReinitFti(DesignBase):
 
     name = "reinit-fti"
 
-    def __init__(self, cluster: Cluster):
-        super().__init__(cluster)
-        self.reinit = ReinitRecovery(cluster)
-
-    def build_runtime(self, app, registry, fti_config, fault_plan,
-                      fti_stats) -> Runtime:
-        cluster = self.cluster
-
-        def resilient_main(mpi):
-            # FTI_Init/Finalize live inside resilient_main (§IV-B)
-            fti = Fti(mpi, cluster, registry, fti_config,
-                      stats=fti_stats[mpi.rank])
-            state = yield from _resilient_body(mpi, app, fti)
-            return {"verified": app.verify(state), "rank": mpi.rank}
-
-        runtime = Runtime(cluster, app.nprocs, resilient_main,
-                          fault_plan=fault_plan, errhandler=ErrHandler.FATAL)
-        self.reinit.install(runtime)
-        return runtime
-
-    def recovery_seconds_per_episode(self) -> list:
-        episodes = list(self.reinit.stats.durations)
-        self.reinit.reset_stats()
-        return episodes
+    def make_recovery(self, cluster: Cluster) -> RecoveryStrategy:
+        return ReinitRecovery(cluster)
 
 
 @DESIGNS.register("ulfm-fti")
@@ -210,37 +189,21 @@ class UlfmFti(DesignBase):
 
     name = "ulfm-fti"
 
-    def __init__(self, cluster: Cluster):
-        super().__init__(cluster)
-        self.ulfm = UlfmRecovery()
+    def make_recovery(self, cluster: Cluster) -> RecoveryStrategy:
+        return UlfmRecovery()
 
-    def build_runtime(self, app, registry, fti_config, fault_plan,
-                      fti_stats) -> Runtime:
-        cluster = self.cluster
-        ulfm = self.ulfm
+    def entry(self, app, registry, fti_config, fti_stats):
+        body = super().entry(app, registry, fti_config, fti_stats)
+        ulfm = self.recovery
 
         def entry(mpi):
             if mpi.is_respawned:
                 yield from ulfm.replacement_join(mpi)
             while True:  # setjmp point (Figure 3, line 12)
                 try:
-                    fti = Fti(mpi, cluster, registry, fti_config,
-                              stats=fti_stats[mpi.rank])
-                    state = yield from _resilient_body(mpi, app, fti)
-                    return {"verified": app.verify(state), "rank": mpi.rank}
+                    return (yield from body(mpi))
                 except RECOVERY_TRIGGERS:
                     yield from ulfm.survivor_repair(mpi)
                     # longjmp back to the setjmp point
 
-        return Runtime(cluster, app.nprocs, entry, fault_plan=fault_plan,
-                       errhandler=ErrHandler.RETURN,
-                       overhead=ulfm.overhead)
-
-    def recovery_seconds_per_episode(self) -> list:
-        """One episode per failure: the protocol's critical-path time
-        after the last survivor enters repair (see
-        :meth:`UlfmRecovery.episode_list`)."""
-        episodes = self.ulfm.episode_list()
-        self.ulfm.reset_stats()
-        self.ulfm.clear_intervals()
-        return episodes
+        return entry

@@ -9,11 +9,11 @@ riding the runtime's phase-hook protocol (:class:`PhaseHook`) —
 collects every ``enter``/``exit`` pair and runtime-level ``span`` as a
 :class:`PhaseSpan`. :meth:`PhaseTimeline.build` then clusters the
 per-rank spans of each anchor into :class:`PhaseWindow` occurrences
-(cluster-by-overlap, the same episode logic ULFM accounting uses) and
-numbers them in time order, giving schedules a stable coordinate
-system: *"the second L1 checkpoint-write window"* is
-``("ckpt.L1.write", 1)`` regardless of which ranks participated or how
-long it lasted.
+(:func:`~repro.recovery.base.overlap_clusters`, the episode clustering
+ULFM accounting uses) and numbers them in time order, giving schedules
+a stable coordinate system: *"the second L1 checkpoint-write window"*
+is ``("ckpt.L1.write", 1)`` regardless of which ranks participated or
+how long it lasted.
 
 Probe runs are deterministic, so the timeline is too — it can be
 serialized, diffed, and (crucially) re-derived bit-identically when a
@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
+from ..recovery.base import overlap_clusters
 
 
 @dataclass(frozen=True)
@@ -202,16 +203,9 @@ class PhaseTimeline:
         for (epoch, anchor), spans in sorted(
                 groups.items(), key=lambda item: item[0]):
             spans.sort(key=lambda s: (s.start, s.end, s.rank))
-            current = [spans[0]]
-            cluster_end = spans[0].end
-            for span in spans[1:]:
-                if span.start > cluster_end:
-                    clusters.setdefault(anchor, []).append((epoch, current))
-                    current = [span]
-                else:
-                    current.append(span)
-                cluster_end = max(cluster_end, span.end)
-            clusters.setdefault(anchor, []).append((epoch, current))
+            clusters.setdefault(anchor, []).extend(
+                (epoch, cluster) for cluster in overlap_clusters(
+                    spans, lambda s: (s.start, s.end)))
         windows = []
         for anchor in sorted(clusters):
             numbered = sorted(

@@ -1,6 +1,6 @@
 """MPI recovery frameworks: Restart, Reinit and ULFM (paper §II-D)."""
 
-from .base import RecoveryStats, RecoveryStrategy
+from .base import RecoveryStrategy
 from .heartbeat import HeartbeatTradeoff, heartbeat_tradeoff
 from .reinit import ReinitRecovery, ReinitSpec
 from .restart import RestartRecovery
@@ -9,7 +9,6 @@ from .ulfm import RECOVERY_TRIGGERS, UlfmRecovery
 __all__ = [
     "HeartbeatTradeoff",
     "RECOVERY_TRIGGERS",
-    "RecoveryStats",
     "RecoveryStrategy",
     "ReinitRecovery",
     "ReinitSpec",

@@ -57,7 +57,7 @@ class ReinitRecovery(RecoveryStrategy):
         # survivors that were still computing are interrupted at their next
         # MPI call; the restart wave completes after the slowest of them
         restart_at = max(when, runtime.clock.global_now()) + cost
-        self.stats.record(restart_at - when)
+        self.episodes.append(restart_at - when)
         hook = runtime.phase_hook
         if hook is not None:
             hook.span(-1, "reinit.rollback", when, restart_at)

@@ -30,5 +30,5 @@ class RestartRecovery(RecoveryStrategy):
         """Record one restart episode; returns its duration."""
         duration = self.redeploy_time(nprocs)
         self.cluster.launcher.record_launch()
-        self.stats.record(duration)
+        self.episodes.append(duration)
         return duration

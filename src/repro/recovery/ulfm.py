@@ -20,7 +20,7 @@ which is the mechanistic reason ULFM recovery does not scale (Fig. 7).
 
 from __future__ import annotations
 
-from .base import RecoveryStrategy
+from .base import RecoveryStrategy, overlap_clusters
 from ..errors import CommRevokedError, MPIError, ProcessFailedError
 from ..simmpi.errhandler import ErrHandler
 from ..simmpi.overhead import UlfmOverheadModel
@@ -36,7 +36,7 @@ class UlfmRecovery(RecoveryStrategy):
     errhandler = ErrHandler.RETURN
 
     def __init__(self, overhead: UlfmOverheadModel | None = None):
-        super().__init__()
+        # episodes are derived from the intervals, so no episode list
         self.overhead = overhead or UlfmOverheadModel()
         #: (start, end, is_replacement) per participating rank; used to
         #: compute the episode's critical-path protocol time
@@ -57,21 +57,9 @@ class UlfmRecovery(RecoveryStrategy):
         paper's observation that recovery time is input-size independent
         (Fig. 10).
         """
-        if not self.intervals:
-            return []
-        items = sorted(self.intervals)
-        clusters, current = [], [items[0]]
-        cluster_end = items[0][1]
-        for interval in items[1:]:
-            if interval[0] > cluster_end:
-                clusters.append(current)
-                current = [interval]
-            else:
-                current.append(interval)
-            cluster_end = max(cluster_end, interval[1])
-        clusters.append(current)
         durations = []
-        for cluster in clusters:
+        for cluster in overlap_clusters(sorted(self.intervals),
+                                        lambda iv: (iv[0], iv[1])):
             survivor_starts = [s for s, _, is_replacement in cluster
                                if not is_replacement]
             starts = survivor_starts or [s for s, _, _ in cluster]
@@ -79,12 +67,10 @@ class UlfmRecovery(RecoveryStrategy):
             durations.append(end - max(starts))
         return durations
 
-    def episode_seconds(self) -> float:
-        """Total recovery seconds across all episodes."""
-        return sum(self.episode_list())
-
-    def clear_intervals(self) -> None:
+    def take_episodes(self) -> list:
+        episodes = self.episode_list()
         self.intervals = []
+        return episodes
 
     # -- per-rank protocol -------------------------------------------------
     def survivor_repair(self, mpi):
@@ -110,7 +96,6 @@ class UlfmRecovery(RecoveryStrategy):
         if not agreed:
             raise MPIError("ULFM agreement failed after repair")
         mpi.set_world(merged)
-        self.stats.record(mpi.now() - t0)
         self.intervals.append((t0, mpi.now(), False))
         return merged
 
@@ -132,7 +117,6 @@ class UlfmRecovery(RecoveryStrategy):
         if not agreed:
             raise MPIError("ULFM agreement failed after shrink")
         mpi.set_world(shrunk)
-        self.stats.record(mpi.now() - t0)
         self.intervals.append((t0, mpi.now(), False))
         return shrunk
 
@@ -148,6 +132,5 @@ class UlfmRecovery(RecoveryStrategy):
         if not agreed:
             raise MPIError("ULFM agreement failed after respawn")
         mpi.set_world(merged)
-        self.stats.record(mpi.now() - t0)
         self.intervals.append((t0, mpi.now(), True))
         return merged

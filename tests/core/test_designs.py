@@ -4,9 +4,19 @@ import pytest
 
 from repro.apps import APP_REGISTRY
 from repro.cluster import Cluster
-from repro.core.designs import DESIGNS, ReinitFti, RestartFti, UlfmFti
+from repro.core.configs import ExperimentConfig
+from repro.core.designs import (
+    DESIGNS,
+    DesignBase,
+    ReinitFti,
+    RestartFti,
+    UlfmFti,
+)
+from repro.core.engine import RunUnit, execute_unit
+from repro.errors import JobAbortedError
 from repro.faults import FaultEvent, FaultPlan
 from repro.fti import FtiConfig
+from repro.recovery import RecoveryStrategy
 
 NPROCS = 8
 FTI = FtiConfig(ckpt_stride=3)
@@ -134,3 +144,72 @@ def test_failure_before_any_checkpoint_still_recovers(design_name):
                             FtiConfig(ckpt_stride=100), plan, label="t")
     assert result.verified
     assert result.recovery_episodes == 1
+
+
+# -- the extension point: a design is FTI plus one recovery strategy ----------
+class FatalOnly(RecoveryStrategy):
+    """Every hook left at its default: an abort is fatal."""
+
+    name = "fatal-only"
+
+
+class FlatRedeploy(RecoveryStrategy):
+    """Redeploys an aborted job after a flat five seconds."""
+
+    name = "flat-redeploy"
+
+    def on_abort(self, nprocs):
+        self.episodes.append(5.0)
+        return 5.0
+
+
+@pytest.fixture
+def custom_designs():
+    class FtiOnly(DesignBase):
+        name = "test-fti-only"
+
+        def make_recovery(self, cluster):
+            return FatalOnly()
+
+    class FtiFlatRedeploy(DesignBase):
+        name = "test-fti-flat"
+
+        def make_recovery(self, cluster):
+            return FlatRedeploy()
+
+    for cls in (FtiOnly, FtiFlatRedeploy):
+        DESIGNS.add(cls.name, cls)
+    try:
+        yield
+    finally:
+        for cls in (FtiOnly, FtiFlatRedeploy):
+            DESIGNS.unregister(cls.name)
+
+
+def custom_unit(design, faults):
+    return RunUnit(ExperimentConfig(app="hpccg", design=design, nprocs=8,
+                                    nnodes=4, faults=faults), 0)
+
+
+def test_custom_design_runs_verified_through_execute_unit(custom_designs):
+    result = execute_unit(custom_unit("test-fti-only", "none"))
+    assert result.verified
+    assert result.recovery_episodes == 0
+    assert result.ckpt_count > 0
+    # the skeleton alone prices a clean run like Restart's, whose
+    # strategy differs only in what an abort does
+    restart = execute_unit(custom_unit("restart-fti", "none"))
+    assert result.breakdown == restart.breakdown
+
+
+def test_custom_strategy_on_abort_redeploys(custom_designs):
+    result = execute_unit(custom_unit("test-fti-flat", "single"))
+    assert result.verified
+    assert result.relaunches == 1
+    assert result.recovery_episodes == 1
+    assert result.breakdown.recovery_seconds == 5.0
+
+
+def test_default_on_abort_lets_the_abort_propagate(custom_designs):
+    with pytest.raises(JobAbortedError):
+        execute_unit(custom_unit("test-fti-only", "single"))

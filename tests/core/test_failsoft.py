@@ -250,6 +250,19 @@ def test_engine_exports_watchdog_budget_serially(monkeypatch):
     assert "MATCH_SIM_WATCHDOG" not in os.environ
 
 
+def test_engine_watchdog_bounds_a_worst_of_units_inner_search(monkeypatch):
+    """A ``worst-of`` unit runs a whole search inside one unit; every
+    run of it is built under the engine's budget."""
+    monkeypatch.delenv("MATCH_SIM_WATCHDOG", raising=False)
+    engine = CampaignEngine(on_error="continue", sim_watchdog=10)
+    unit = RunUnit(mini_config(design="ulfm-fti", faults="worst-of:2"), 0)
+    events = list(engine.stream([unit]))
+    failed = [e for e in events if isinstance(e, UnitFailed)]
+    assert len(failed) == 1
+    assert failed[0].record.type == "repro.errors.WatchdogError"
+    assert "MATCH_SIM_WATCHDOG" not in os.environ
+
+
 # -- store failure records --------------------------------------------------
 def test_store_failure_records_roundtrip(tmp_path):
     store = ResultStore(tmp_path / "failures.jsonl")

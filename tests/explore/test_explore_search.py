@@ -149,6 +149,24 @@ class TestSessionFacade:
         with pytest.raises(ConfigurationError, match="configs"):
             session.explore()
 
+    def test_session_explore_honours_sim_watchdog(self, monkeypatch):
+        """The search's runs take the session's budget, as its units do."""
+        import os
+
+        from repro.api import Campaign
+        from repro.errors import WatchdogError
+
+        monkeypatch.delenv("MATCH_SIM_WATCHDOG", raising=False)
+        campaign = Campaign().apps("hpccg").designs("ulfm-fti") \
+            .nprocs(8).nnodes(4).faults("none").sim_watchdog(10)
+        with pytest.raises(WatchdogError):
+            campaign.session().run()
+        with pytest.raises(WatchdogError) as excinfo:
+            campaign.session().explore(budget=2)
+        assert excinfo.value.steps == 10
+        # the budget must not leak into the environment past the search
+        assert "MATCH_SIM_WATCHDOG" not in os.environ
+
     def test_foreign_config_rejected(self, tmp_path):
         session = self._session(tmp_path, "ulfm-fti")
         foreign = _config(app="hpccg", nprocs=16)

@@ -17,17 +17,16 @@ def test_on_abort_records_episode():
     restart = RestartRecovery(Cluster(nnodes=32))
     duration = restart.on_abort(64)
     assert duration > 0
-    assert restart.stats.episodes == 1
-    assert restart.stats.recovery_seconds == pytest.approx(duration)
-    assert restart.stats.durations == [duration]
+    assert restart.episodes == [duration]
+    assert sum(restart.episodes) == pytest.approx(duration)
 
 
 def test_multiple_aborts_accumulate():
     restart = RestartRecovery(Cluster(nnodes=32))
     d1 = restart.on_abort(64)
     d2 = restart.on_abort(64)
-    assert restart.stats.episodes == 2
-    assert restart.stats.recovery_seconds == pytest.approx(d1 + d2)
+    assert restart.episodes == [d1, d2]
+    assert sum(restart.episodes) == pytest.approx(d1 + d2)
 
 
 def test_launch_counter_ticks():
@@ -37,12 +36,12 @@ def test_launch_counter_ticks():
     assert cluster.launcher.launch_count == 1
 
 
-def test_reset_stats():
+def test_take_episodes_resets():
     restart = RestartRecovery(Cluster(nnodes=32))
-    restart.on_abort(64)
-    restart.reset_stats()
-    assert restart.stats.episodes == 0
-    assert restart.stats.durations == []
+    duration = restart.on_abort(64)
+    assert restart.take_episodes() == [duration]
+    assert restart.episodes == []
+    assert restart.take_episodes() == []
 
 
 def test_restart_cost_grows_with_scale():

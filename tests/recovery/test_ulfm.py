@@ -57,9 +57,13 @@ def test_all_ranks_complete_after_repair():
 
 def test_recovery_episode_counts_every_participant():
     results, runtime, ulfm = ulfm_job()
-    # 7 survivors + 1 replacement each record their repair time
-    assert ulfm.stats.episodes == 8
-    assert all(d > 0 for d in ulfm.stats.durations)
+    # 7 survivors + 1 replacement each record their repair interval
+    assert len(ulfm.intervals) == 8
+    assert sum(is_replacement for _, _, is_replacement in ulfm.intervals) == 1
+    assert all(end - start > 0 for start, end, _ in ulfm.intervals)
+    # ... which cluster into one episode of the one failure
+    assert len(ulfm.take_episodes()) == 1
+    assert ulfm.intervals == []
 
 
 def test_world_communicator_repaired_to_full_size():
@@ -84,7 +88,10 @@ def test_repair_cost_grows_with_scale():
     """Fig. 7: ULFM recovery time increases with the process count."""
     small = ulfm_job(nprocs=4, kill_rank=1)[2]
     large = ulfm_job(nprocs=16, kill_rank=1)[2]
-    assert max(large.stats.durations) > max(small.stats.durations)
+    def longest_repair(ulfm):
+        return max(end - start for start, end, _ in ulfm.intervals)
+
+    assert longest_repair(large) > longest_repair(small)
 
 
 def test_overhead_model_attached():
